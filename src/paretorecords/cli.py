@@ -17,14 +17,8 @@ number is traceable to (command, params, seed). Timing is reported on
 stderr only, keeping machine output byte-identical across reruns and across
 ``--workers`` settings.
 
-Distribution specs serialize as JSON objects::
-
-    {"family": "iid-exp" | "dir" | "pa" | "dirichlet" | "comonotone"
-               | "mixture",
-     "d": int,            # iid-exp, dir, pa, comonotone
-     "a": float,          # dir, pa
-     "b": [float, ...],   # dirichlet
-     "q": float, "first": {...}, "second": {...}}   # mixture
+Distribution specs serialize as JSON objects, in the schema documented in
+:mod:`paretorecords.model`.
 
 The default seed is 0; the environment variable ``RECORDS_SEED`` overrides
 it and the ``--seed`` flag wins over both.
@@ -40,6 +34,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -52,17 +47,7 @@ from .exact import (
     pn_scale_mixture,
     roman_harmonic,
 )
-from .model import (
-    Comonotone,
-    Dirichlet,
-    DistributionSpec,
-    ExperimentConfig,
-    ExponentialScaleMixture,
-    IidExponential,
-    MarginalDirichlet,
-    Mixture,
-    validate,
-)
+from .model import FAMILIES, DistributionSpec, ExperimentConfig, spec_from_json
 from .ordering import (
     Direction,
     check_nuod,
@@ -72,6 +57,7 @@ from .ordering import (
 )
 from .samplers import make_rng
 from .simulate import (
+    EXACT_PN,
     concomitant_check,
     estimate_maxima,
     estimate_record_prob,
@@ -80,7 +66,7 @@ from .simulate import (
     sweep,
 )
 
-__all__ = ["main", "spec_from_json", "spec_to_json"]
+__all__ = ["main", "spec_from_json"]
 
 SCHEMA_VERSION = 1
 
@@ -92,79 +78,29 @@ EXIT_VIOLATION = 5
 
 
 # ---------------------------------------------------------------------------
-# Spec (de)serialization -- the JSON schema lives here
+# Specs from JSON and from flags
 # ---------------------------------------------------------------------------
 
 
-def spec_to_json(spec: DistributionSpec) -> dict:
-    """Encode a spec as a plain JSON-compatible dict."""
-    if isinstance(spec, IidExponential):
-        return {"family": "iid-exp", "d": spec.d}
-    if isinstance(spec, MarginalDirichlet):
-        return {"family": "dir", "d": spec.d, "a": spec.a}
-    if isinstance(spec, ExponentialScaleMixture):
-        return {"family": "pa", "d": spec.d, "a": spec.a}
-    if isinstance(spec, Dirichlet):
-        return {"family": "dirichlet", "b": list(spec.b)}
-    if isinstance(spec, Comonotone):
-        return {"family": "comonotone", "d": spec.d}
-    if isinstance(spec, Mixture):
-        return {
-            "family": "mixture",
-            "q": spec.q,
-            "first": spec_to_json(spec.first),
-            "second": spec_to_json(spec.second),
-        }
-    raise RecordsError(f"unknown spec type: {spec!r}")
-
-
-def spec_from_json(obj) -> DistributionSpec:
-    """Decode a spec from a dict or JSON string (inverse of spec_to_json)."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise RecordsError(f"spec object must be a dict with a 'family' key, got {obj!r}")
-    family = obj["family"]
-    try:
-        if family == "iid-exp":
-            return IidExponential(obj["d"])
-        if family == "dir":
-            return MarginalDirichlet(obj["d"], obj["a"])
-        if family == "pa":
-            return ExponentialScaleMixture(obj["d"], obj["a"])
-        if family == "dirichlet":
-            return Dirichlet(tuple(obj["b"]))
-        if family == "comonotone":
-            return Comonotone(obj["d"])
-        if family == "mixture":
-            return Mixture(obj["q"], spec_from_json(obj["first"]), spec_from_json(obj["second"]))
-    except KeyError as exc:
-        raise RecordsError(f"spec for family {family!r} is missing field {exc}") from None
-    raise RecordsError(f"unknown family {family!r}")
-
-
-def _spec_from_args(args) -> DistributionSpec:
-    if getattr(args, "spec", None):
-        return spec_from_json(args.spec)
-    family = args.family
+def _spec_from_flags(text, family, suffix: str = "", **params) -> DistributionSpec:
+    # --spec JSON, or --family and one flag per field of it; suffix "2" names rp-order's second set.
+    if text:
+        return spec_from_json(text)
     if family is None:
-        raise RecordsError("either --family or --spec is required")
+        raise RecordsError(f"either --family{suffix} or --spec{suffix} is required")
     if family == "mixture":
         raise RecordsError("mixtures must be given via --spec JSON")
     obj = {"family": family}
-    if family == "dirichlet":
-        if not args.b:
-            raise RecordsError("--b is required for the dirichlet family")
-        obj["b"] = [float(v) for v in args.b.split(",")]
-    else:
-        if args.d is None:
-            raise RecordsError(f"--d is required for family {family}")
-        obj["d"] = args.d
-        if family in ("dir", "pa"):
-            if args.a is None:
-                raise RecordsError(f"--a is required for family {family}")
-            obj["a"] = args.a
+    for f in fields(FAMILIES[family]):
+        if params.get(f.name) is None:
+            raise RecordsError(f"--{f.name}{suffix} is required for family {family}")
+        obj[f.name] = params[f.name]
     return spec_from_json(obj)
+
+
+def _spec_from_args(args) -> DistributionSpec:
+    b = [float(v) for v in args.b.split(",")] if args.b else None
+    return _spec_from_flags(args.spec, args.family, d=args.d, a=args.a, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -199,37 +135,6 @@ def emit_rows(rows: list[dict], out: str, out_file: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def read_table(path_or_text: str, from_file: bool = True) -> list[dict]:
-    """Parse a CSV table written by :func:`emit_rows` back into row dicts.
-
-    Numeric-looking fields come back as int or float, empty fields as None;
-    used by the round-trip tests and handy for downstream scripts.
-    """
-    if from_file:
-        with open(path_or_text, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    else:
-        text = path_or_text
-    rows = []
-    for raw in csv.DictReader(io.StringIO(text)):
-        row = {}
-        for key, val in raw.items():
-            if val == "" or val is None:
-                row[key] = None
-            elif val in ("true", "false"):
-                row[key] = val == "true"
-            else:
-                try:
-                    row[key] = int(val)
-                except ValueError:
-                    try:
-                        row[key] = float(val)
-                    except ValueError:
-                        row[key] = val
-        rows.append(row)
-    return rows
 
 
 def _base_row(command: str, seed: int | None) -> dict:
@@ -280,21 +185,25 @@ def _cmd_exact(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
-    validate(spec)
     seed = _resolve_seed(args)
     t0 = time.perf_counter()
-    rows = []
     if args.estimand == "pn":
         if args.estimator == "survival":
             est = estimate_record_prob_survival(spec, args.n, args.reps, seed, args.workers)
         else:
             est = estimate_record_prob(ExperimentConfig(spec, args.n, args.reps, seed, args.workers))
+        estimates = [("pn", args.estimator, est)]
+    else:
+        result = estimate_maxima(ExperimentConfig(spec, args.n, args.reps, seed, args.workers))
+        estimates = [("records_mean", "indicator", result.records), ("maxima_mean", "indicator", result.maxima)]
+    rows = []
+    for estimand, estimator, est in estimates:
         row = _base_row("simulate", seed)
         row.update(spec_to_json_flat(spec))
         row.update(
             {
-                "estimand": "pn",
-                "estimator": args.estimator,
+                "estimand": estimand,
+                "estimator": estimator,
                 "n": args.n,
                 "reps": args.reps,
                 "estimate": est.point,
@@ -302,22 +211,6 @@ def _cmd_simulate(args) -> int:
             }
         )
         rows.append(row)
-    else:
-        result = estimate_maxima(ExperimentConfig(spec, args.n, args.reps, seed, args.workers))
-        for name, est in (("records_mean", result.records), ("maxima_mean", result.maxima)):
-            row = _base_row("simulate", seed)
-            row.update(spec_to_json_flat(spec))
-            row.update(
-                {
-                    "estimand": name,
-                    "estimator": "indicator",
-                    "n": args.n,
-                    "reps": args.reps,
-                    "estimate": est.point,
-                    "std_error": est.std_error,
-                }
-            )
-            rows.append(row)
     if args.emit_trajectory:
         _write_trajectory(args.emit_trajectory, spec, args.n, seed)
     emit_rows(rows, args.out, args.out_file)
@@ -326,13 +219,12 @@ def _cmd_simulate(args) -> int:
 
 
 def spec_to_json_flat(spec: DistributionSpec) -> dict:
-    """Spec fields flattened for tabular output (mixtures nest as JSON text)."""
-    obj = spec_to_json(spec)
-    if obj["family"] == "mixture":
-        return {"family": "mixture", "spec": json.dumps(obj)}
-    if obj["family"] == "dirichlet":
-        return {"family": "dirichlet", "b": ",".join(repr(v) for v in obj["b"])}
-    return obj
+    """Spec fields flattened for tabular output: a spec with nested specs
+    (a mixture) as one JSON text, lists as comma-joined reprs."""
+    obj = spec.to_json()
+    if any(isinstance(v, dict) for v in obj.values()):
+        return {"family": obj["family"], "spec": json.dumps(obj)}
+    return {k: ",".join(repr(x) for x in v) if isinstance(v, list) else v for k, v in obj.items()}
 
 
 def _write_trajectory(path: str, spec, n: int, seed: int) -> None:
@@ -417,26 +309,15 @@ def _cmd_check(args) -> int:
 
 def _check_rp_order(args, seed: int) -> dict:
     spec_first = _spec_from_args(args)
-    if args.family2 is None and not args.spec2:
-        raise RecordsError("rp-order needs a second spec (--family2/--a2/--d2 or --spec2)")
-    if args.spec2:
-        spec_second = spec_from_json(args.spec2)
-    else:
-        obj = {"family": args.family2}
-        if args.family2 != "dirichlet":
-            obj["d"] = args.d2 if args.d2 is not None else args.d
-            if args.family2 in ("dir", "pa"):
-                if args.a2 is None:
-                    raise RecordsError("--a2 is required for family2 dir/pa")
-                obj["a"] = args.a2
-        spec_second = spec_from_json(obj)
+    d2 = args.d2 if args.d2 is not None else args.d
+    spec_second = _spec_from_flags(args.spec2, args.family2, "2", d=d2, a=args.a2)
     verdict = check_record_order(spec_first, spec_second, args.samples, make_rng(seed, 0))
     expected = _expected_direction(spec_first, spec_second)
     violated = expected is not None and verdict.direction not in (expected, Direction.INDISTINGUISHABLE)
     return {
         "check": "rp-order",
-        "first": json.dumps(spec_to_json(spec_first)),
-        "second": json.dumps(spec_to_json(spec_second)),
+        "first": json.dumps(spec_first.to_json()),
+        "second": json.dumps(spec_second.to_json()),
         "samples": args.samples,
         "direction": verdict.direction.value,
         "statistic": verdict.statistic,
@@ -449,13 +330,8 @@ def _check_rp_order(args, seed: int) -> dict:
 def _expected_direction(first, second) -> Direction | None:
     # Theoretical ordering when both families admit an exact p_2.
     def exact_p2(spec):
-        if isinstance(spec, IidExponential):
-            return pn_independent(2, spec.d)
-        if isinstance(spec, MarginalDirichlet):
-            return pn_marginal_dirichlet(2, spec.d, spec.a)
-        if isinstance(spec, ExponentialScaleMixture):
-            return pn_scale_mixture(2, spec.d, spec.a)
-        return None
+        pn = EXACT_PN.get(spec.family)
+        return None if pn is None else pn(2, spec.dim, getattr(spec, "a", None))
 
     p_first, p_second = exact_p2(first), exact_p2(second)
     if p_first is None or p_second is None or first.dim != second.dim:
@@ -472,7 +348,7 @@ def _check_nuod(args, seed: int) -> dict:
     result = check_nuod(spec, probes, args.samples, rng)
     return {
         "check": "nuod",
-        "spec": json.dumps(spec_to_json(spec)),
+        "spec": json.dumps(spec.to_json()),
         "samples": args.samples,
         "probes": probes.shape[0],
         "worst_margin_sigma": result.worst_margin_sigma,
@@ -481,21 +357,22 @@ def _check_nuod(args, seed: int) -> dict:
     }
 
 
+# Expected side of the bound, for the families that pin one down: negative
+# dependence (dir) lifts p_2 above it, positive association (pa) lowers it.
+_P2_SIDE = {
+    "dir": lambda margin: margin >= -4.0,
+    "pa": lambda margin: margin <= 4.0,
+    "iid-exp": lambda margin: abs(margin) <= 4.0,
+}
+
+
 def _check_p2(args, seed: int) -> dict:
     spec = _spec_from_args(args)
     result = check_p2_bound(spec, args.samples, make_rng(seed, 0))
-    # Expected side of the bound, when the family pins one down.
-    if isinstance(spec, MarginalDirichlet):
-        ok = result.margin_sigma >= -4.0
-    elif isinstance(spec, ExponentialScaleMixture):
-        ok = result.margin_sigma <= 4.0
-    elif isinstance(spec, IidExponential):
-        ok = abs(result.margin_sigma) <= 4.0
-    else:
-        ok = True
+    ok = _P2_SIDE.get(spec.family, lambda margin: True)(result.margin_sigma)
     return {
         "check": "p2",
-        "spec": json.dumps(spec_to_json(spec)),
+        "spec": json.dumps(spec.to_json()),
         "samples": args.samples,
         "estimate": result.estimate,
         "std_error": result.std_error,
@@ -510,7 +387,7 @@ def _check_concomitant(args, seed: int) -> dict:
     result = concomitant_check(spec, args.n, args.reps, seed, args.workers)
     return {
         "check": "concomitant",
-        "spec": json.dumps(spec_to_json(spec)),
+        "spec": json.dumps(spec.to_json()),
         "n": args.n,
         "reps": args.reps,
         "statistic": result.statistic,
@@ -570,7 +447,7 @@ def _resolve_seed(args) -> int:
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--family",
-        choices=["iid-exp", "dir", "pa", "dirichlet", "comonotone", "mixture"],
+        choices=list(FAMILIES),
         help="distribution family (dir = marginalized Dirichlet, pa = Exponential scale mixture)",
     )
     p.add_argument("--d", type=int, help="dimension")

@@ -31,21 +31,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import betainc, gammaln
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    PrecisionLossError,
-    UnsupportedSpecError,
-)
-from .model import (
-    Comonotone,
-    Dirichlet,
-    DistributionSpec,
-    ExponentialScaleMixture,
-    IidExponential,
-    MarginalDirichlet,
-    Mixture,
-)
+from .errors import DimensionMismatchError, InvalidParameterError, PrecisionLossError
+from .model import DistributionSpec
 
 __all__ = [
     "AlternatingSumExact",
@@ -59,7 +46,6 @@ __all__ = [
     "pn_marginal_dirichlet_exact",
     "pn_scale_mixture",
     "pn_scale_mixture_exact",
-    "record_prob_limit",
     "roman_harmonic",
     "roman_harmonic_direct",
     "survival",
@@ -108,7 +94,6 @@ CANCELLATION_LIMIT = 1e9
 
 # Cached columns: _ROMAN_EXACT[k][m-1] == H_m^(k). Level 0 is identically 1.
 _ROMAN_EXACT: dict[int, list[Fraction]] = {}
-_ROMAN_FLOAT: dict[int, list[float]] = {}
 
 
 def _check_nk(n, k) -> tuple[int, int]:
@@ -153,19 +138,6 @@ def _roman_column_exact(k: int, n: int) -> list[Fraction]:
     return col
 
 
-def _roman_column_float(k: int, n: int) -> list[float]:
-    # Same recurrence in float: all terms positive, so no cancellation.
-    col = _ROMAN_FLOAT.setdefault(k, [])
-    if len(col) >= n:
-        return col
-    prev = None if k == 1 else _roman_column_float(k - 1, n)
-    acc = col[-1] if col else 0.0
-    for m in range(len(col) + 1, n + 1):
-        acc += (1.0 / m) if prev is None else prev[m - 1] / m
-        col.append(acc)
-    return col
-
-
 def roman_harmonic_direct(n: int, k: int) -> Fraction:
     """H_n^(k) by the defining alternating sum, term by term, in rationals.
 
@@ -199,7 +171,12 @@ def pn_independent(n: int, d: int) -> float:
     d = int(d)
     if d == 1:
         return 1.0 / n
-    return _roman_column_float(d - 1, n)[n - 1] / n
+    # roman_harmonic's recurrence in float, one column per order, none kept after the call.
+    m = np.arange(1.0, n + 1)
+    col = np.cumsum(1.0 / m)
+    for _ in range(d - 2):
+        col = np.cumsum(col / m)
+    return float(col[-1] / n)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +349,11 @@ def pn_scale_mixture_exact(n: int, d: int, a) -> Fraction:
 def survival(spec: DistributionSpec, x) -> float | np.ndarray:
     """Upper-orthant survival P(X >= x) under ``spec``.
 
-    Closed forms exist for IidExponential (exp(-||x+||_1)), MarginalDirichlet
-    ((1 - ||x||_1)^(d+a-1), clamped to 0 outside the simplex), the
-    Exponential scale mixture ((1 + ||x||_1)^(-a)) and Comonotone
-    (exp(-max_j x_j+)). Coordinates below 0 are clamped to 0 first, since all
-    supports lie in the positive orthant. Accepts a single point (1-D) or a
-    batch (..., d); boundary values are resolved by continuity.
+    Each family class holds its closed form (``spec.survival``); the families
+    without one raise UnsupportedSpecError. Coordinates below 0 are clamped
+    to 0 first, since all supports lie in the positive orthant. Accepts a
+    single point (1-D) or a batch (..., d); boundary values are resolved by
+    continuity.
     """
     xv = np.asarray(x, dtype=np.float64)
     scalar = xv.ndim == 1
@@ -385,18 +361,7 @@ def survival(spec: DistributionSpec, x) -> float | np.ndarray:
         raise DimensionMismatchError(
             f"observation has dimension {xv.shape[-1]}, spec has {spec.dim}"
         )
-    pos = np.maximum(xv, 0.0)
-    if isinstance(spec, IidExponential):
-        out = np.exp(-pos.sum(axis=-1))
-    elif isinstance(spec, MarginalDirichlet):
-        slack = np.maximum(1.0 - pos.sum(axis=-1), 0.0)
-        out = slack ** (spec.d + spec.a - 1.0)
-    elif isinstance(spec, ExponentialScaleMixture):
-        out = (1.0 + pos.sum(axis=-1)) ** -spec.a
-    elif isinstance(spec, Comonotone):
-        out = np.exp(-pos.max(axis=-1))
-    else:
-        raise UnsupportedSpecError(f"no closed-form survival for {type(spec).__name__}")
+    out = spec.survival(np.maximum(xv, 0.0))
     return float(out) if scalar else out
 
 
@@ -454,19 +419,3 @@ def _check_family_params(family: str, a, d) -> tuple[float, int]:
         raise InvalidParameterError(f"d must be an integer >= 2, got {d!r}")
     return a, int(d)
 
-
-def record_prob_limit(spec: DistributionSpec) -> float:
-    """Limit of the record probability as the stream length grows.
-
-    Equals the probability mass of the region where the survival function
-    vanishes: 1 for a full Dirichlet (its support is an antichain), 0 for
-    the families with everywhere-positive survival, and the corresponding
-    mixture weight for mixtures.
-    """
-    if isinstance(spec, Dirichlet):
-        return 1.0
-    if isinstance(spec, (IidExponential, MarginalDirichlet, ExponentialScaleMixture, Comonotone)):
-        return 0.0
-    if isinstance(spec, Mixture):
-        return (1.0 - spec.q) * record_prob_limit(spec.first) + spec.q * record_prob_limit(spec.second)
-    raise UnsupportedSpecError(f"unknown spec type: {spec!r}")

@@ -58,13 +58,12 @@ class StreamResult(NamedTuple):
 class GenericFrontier:
     """Frontier for any dimension; linear scan over a compact point array."""
 
-    __slots__ = ("d", "n_seen", "records_total", "_buf", "_size")
+    __slots__ = ("d", "records_total", "_buf", "_size")
 
     def __init__(self, d: int):
         if not isinstance(d, (int, np.integer)) or d < 1:
             raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
         self.d = int(d)
-        self.n_seen = 0
         self.records_total = 0
         self._buf = np.empty((16, self.d))
         self._size = 0
@@ -82,7 +81,6 @@ class GenericFrontier:
         xv = np.asarray(x, dtype=np.float64)
         if xv.shape != (self.d,):
             raise DimensionMismatchError(f"expected shape ({self.d},), got {xv.shape}")
-        self.n_seen += 1
         m = self._size
         pts = self._buf[:m]
         if m:
@@ -109,12 +107,11 @@ class GenericFrontier:
 class Frontier2D:
     """Planar frontier as parallel sorted lists (x ascending, y descending)."""
 
-    __slots__ = ("n_seen", "records_total", "_xs", "_ys")
+    __slots__ = ("records_total", "_xs", "_ys")
 
     d = 2
 
     def __init__(self):
-        self.n_seen = 0
         self.records_total = 0
         self._xs: list[float] = []
         self._ys: list[float] = []
@@ -136,7 +133,6 @@ class Frontier2D:
 
     def _insert_xy(self, x: float, y: float) -> tuple[bool, int]:
         # Hot path used by the simulators; plain floats, tuple return.
-        self.n_seen += 1
         xs = self._xs
         ys = self._ys
         lo = bisect_left(xs, x)
@@ -147,7 +143,6 @@ class Frontier2D:
         hi = bisect_right(xs, x, lo)
         # Maxima dominated by (x, y) occupy a contiguous block [j, hi):
         # first coordinate <= x and second <= y, with ys descending.
-        j = lo
         a, b = 0, hi
         while a < b:
             mid = (a + b) // 2

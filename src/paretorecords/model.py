@@ -1,4 +1,4 @@
-"""Domain types: distribution families, observations, experiment parameters.
+"""Domain types: distribution families and experiment parameters.
 
 A distribution spec is an immutable tagged value describing one of the
 sampling families handled by the package:
@@ -15,20 +15,36 @@ sampling families handled by the package:
 * ``Mixture(q, first, second)`` -- draws from ``second`` with probability q,
   else from ``first``.
 
+Each family is a frozen dataclass under :class:`DistributionSpec` and is the
+one home of what depends on the family: its JSON tag and encoding, its batch
+sampler, its closed-form survival function (if any) and the limit of its
+record probability.
+
 All spec types validate their parameters on construction; ``validate``
 re-checks an existing instance (useful after deserialization).
+
+Specs serialize as JSON objects (``spec.to_json()`` and
+:func:`spec_from_json`), with the keys in this order::
+
+    {"family": "iid-exp" | "dir" | "pa" | "dirichlet" | "comonotone"
+               | "mixture",
+     "d": int,            # iid-exp, dir, pa, comonotone
+     "a": float,          # dir, pa
+     "b": [float, ...],   # dirichlet
+     "q": float, "first": {...}, "second": {...}}   # mixture
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import json
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import InvalidParameterError, RecordsError, UnsupportedSpecError
 
 __all__ = [
+    "FAMILIES",
     "Comonotone",
     "Dirichlet",
     "DistributionSpec",
@@ -37,14 +53,9 @@ __all__ = [
     "IidExponential",
     "MarginalDirichlet",
     "Mixture",
-    "Observation",
-    "as_observation",
-    "dominates",
+    "spec_from_json",
     "validate",
 ]
-
-#: An observation is a 1-D float array of finite coordinates.
-Observation = np.ndarray
 
 #: Mixtures may nest at most this deep; one level suffices in practice.
 MAX_MIXTURE_DEPTH = 4
@@ -68,22 +79,73 @@ def _require_positive(x, field: str) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class IidExponential:
-    """d independent Exponential(1) coordinates."""
+class DistributionSpec:
+    """Base of the distribution families.
 
-    d: int
+    A family is a frozen dataclass whose fields are its parameters, in JSON
+    key order. It sets ``family`` to its JSON tag and ``limit`` to the limit
+    of the record probability as the stream grows, which is the probability
+    mass of the region where the survival function vanishes (0 by default:
+    the survival is positive everywhere). It implements ``sample``, and
+    ``survival`` where a closed form exists.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", _require_dim(self.d, 1))
+    family: str
+    limit = 0.0
 
     @property
     def dim(self) -> int:
         return self.d
 
+    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """m observations as an (m, dim) array, in the family's fixed draw
+        order; callers validate through ``samplers.sample_observations``."""
+        raise NotImplementedError
+
+    def survival(self, pos: np.ndarray) -> np.ndarray:
+        """P(X >= x) at the points of a (..., dim) array clamped to >= 0;
+        callers check and clamp through ``exact.survival``."""
+        raise UnsupportedSpecError(f"no closed-form survival for {type(self).__name__}")
+
+    def to_json(self) -> dict:
+        """Plain JSON-compatible dict: the tag, then the fields in order."""
+        obj = {"family": self.family}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, DistributionSpec):
+                value = value.to_json()
+            obj[f.name] = list(value) if isinstance(value, tuple) else value
+        return obj
+
+    @classmethod
+    def from_json(cls, obj: dict) -> DistributionSpec:
+        """Inverse of ``to_json``; a missing field raises KeyError."""
+        values = (obj[f.name] for f in fields(cls))
+        return cls(*(spec_from_json(v) if isinstance(v, dict) else v for v in values))
+
 
 @dataclass(frozen=True)
-class MarginalDirichlet:
+class IidExponential(DistributionSpec):
+    """d independent Exponential(1) coordinates."""
+
+    d: int
+
+    family = "iid-exp"
+
+    def __post_init__(self):
+        object.__setattr__(self, "d", _require_dim(self.d, 1))
+
+    def sample(self, m, rng):
+        """One block of m*d exponentials."""
+        return rng.exponential(size=(m, self.d))
+
+    def survival(self, pos):
+        """exp(-||x||_1)."""
+        return np.exp(-pos.sum(axis=-1))
+
+
+@dataclass(frozen=True)
+class MarginalDirichlet(DistributionSpec):
     """First d coordinates of Dirichlet(1, ..., 1, a) in dimension d+1.
 
     Supported on the open unit simplex; needs d >= 2 (d = 1 would just be a
@@ -93,37 +155,59 @@ class MarginalDirichlet:
     d: int
     a: float
 
+    family = "dir"
+
     def __post_init__(self):
         object.__setattr__(self, "d", _require_dim(self.d, 2))
         object.__setattr__(self, "a", _require_positive(self.a, "a"))
 
-    @property
-    def dim(self) -> int:
-        return self.d
+    def sample(self, m, rng):
+        """m*d exponentials, then m Gamma(a) scales; each row is
+        E / (sum(E) + G), the first d coordinates of a Dirichlet(1, ..., 1, a)
+        vector."""
+        e = rng.exponential(size=(m, self.d))
+        g = rng.gamma(self.a, size=(m, 1))
+        return e / (e.sum(axis=1, keepdims=True) + g)
+
+    def survival(self, pos):
+        """(1 - ||x||_1)^(d+a-1), and 0 outside the simplex."""
+        slack = np.maximum(1.0 - pos.sum(axis=-1), 0.0)
+        return slack ** (self.d + self.a - 1.0)
 
 
 @dataclass(frozen=True)
-class ExponentialScaleMixture:
+class ExponentialScaleMixture(DistributionSpec):
     """(E_1/G, ..., E_d/G): iid Exponential(1) coordinates divided by an
     independent Gamma(a) scale. Requires d >= 2 and a > 0."""
 
     d: int
     a: float
 
+    family = "pa"
+
     def __post_init__(self):
         object.__setattr__(self, "d", _require_dim(self.d, 2))
         object.__setattr__(self, "a", _require_positive(self.a, "a"))
 
-    @property
-    def dim(self) -> int:
-        return self.d
+    def sample(self, m, rng):
+        """m*d exponentials, then m Gamma(a) scales; each row is E / G."""
+        e = rng.exponential(size=(m, self.d))
+        g = rng.gamma(self.a, size=(m, 1))
+        return e / g
+
+    def survival(self, pos):
+        """(1 + ||x||_1)^(-a)."""
+        return (1.0 + pos.sum(axis=-1)) ** -self.a
 
 
 @dataclass(frozen=True)
-class Dirichlet:
+class Dirichlet(DistributionSpec):
     """Full Dirichlet(b) vector; coordinates are positive and sum to one."""
 
     b: tuple[float, ...]
+
+    family = "dirichlet"
+    limit = 1.0
 
     def __post_init__(self):
         try:
@@ -141,23 +225,36 @@ class Dirichlet:
     def dim(self) -> int:
         return len(self.b)
 
+    def sample(self, m, rng):
+        """m*k gammas (parameter-major), normalized per row."""
+        b = np.asarray(self.b)
+        g = rng.gamma(b, size=(m, b.size))
+        return g / g.sum(axis=1, keepdims=True)
+
 
 @dataclass(frozen=True)
-class Comonotone:
+class Comonotone(DistributionSpec):
     """All d coordinates equal to a single Exponential(1) draw."""
 
     d: int
 
+    family = "comonotone"
+
     def __post_init__(self):
         object.__setattr__(self, "d", _require_dim(self.d, 1))
 
-    @property
-    def dim(self) -> int:
-        return self.d
+    def sample(self, m, rng):
+        """m exponentials, each repeated across the d coordinates."""
+        y = rng.exponential(size=(m, 1))
+        return np.repeat(y, self.d, axis=1)
+
+    def survival(self, pos):
+        """exp(-max_j x_j)."""
+        return np.exp(-pos.max(axis=-1))
 
 
 @dataclass(frozen=True)
-class Mixture:
+class Mixture(DistributionSpec):
     """With probability q draw from ``second``, else from ``first``.
 
     Components must have equal dimension; nesting depth is capped at
@@ -165,8 +262,10 @@ class Mixture:
     """
 
     q: float
-    first: "DistributionSpec"
-    second: "DistributionSpec"
+    first: DistributionSpec
+    second: DistributionSpec
+
+    family = "mixture"
 
     def __post_init__(self):
         try:
@@ -177,8 +276,9 @@ class Mixture:
             raise InvalidParameterError(f"q must lie in [0, 1], got {self.q!r}")
         object.__setattr__(self, "q", q)
         for name, comp in (("first", self.first), ("second", self.second)):
-            if not isinstance(comp, _SPEC_TYPES):
+            if not isinstance(comp, DistributionSpec):
                 raise InvalidParameterError(f"{name} must be a DistributionSpec, got {comp!r}")
+            comp.__post_init__()  # so that validate re-checks nested components too
         if self.first.dim != self.second.dim:
             raise InvalidParameterError(
                 f"mixture components must share a dimension, got {self.first.dim} and {self.second.dim}"
@@ -190,24 +290,41 @@ class Mixture:
     def dim(self) -> int:
         return self.first.dim
 
+    @property
+    def limit(self) -> float:
+        return (1.0 - self.q) * self.first.limit + self.q * self.second.limit
 
-DistributionSpec = Union[
-    IidExponential,
-    MarginalDirichlet,
-    ExponentialScaleMixture,
-    Dirichlet,
-    Comonotone,
-    Mixture,
-]
+    def sample(self, m, rng):
+        """m uniform selectors first (u < q picks ``second``), then the
+        ``first`` sub-batch, then the ``second`` sub-batch."""
+        pick_second = rng.random(m) < self.q
+        out = np.empty((m, self.dim))
+        m_first = int(m - pick_second.sum())
+        if m_first:
+            out[~pick_second] = self.first.sample(m_first, rng)
+        if m - m_first:
+            out[pick_second] = self.second.sample(m - m_first, rng)
+        return out
 
-_SPEC_TYPES = (
-    IidExponential,
-    MarginalDirichlet,
-    ExponentialScaleMixture,
-    Dirichlet,
-    Comonotone,
-    Mixture,
-)
+
+#: Family classes by JSON tag, in the order they are defined above.
+FAMILIES = {cls.family: cls for cls in DistributionSpec.__subclasses__()}
+
+
+def spec_from_json(obj) -> DistributionSpec:
+    """Decode a spec from a dict or JSON string (inverse of ``spec.to_json()``)."""
+    if isinstance(obj, str):
+        obj = json.loads(obj)
+    if not isinstance(obj, dict) or "family" not in obj:
+        raise RecordsError(f"spec object must be a dict with a 'family' key, got {obj!r}")
+    family = obj["family"]
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise RecordsError(f"unknown family {family!r}")
+    try:
+        return cls.from_json(obj)
+    except KeyError as exc:
+        raise RecordsError(f"spec for family {family!r} is missing field {exc}") from None
 
 
 def _mixture_depth(spec) -> int:
@@ -223,12 +340,9 @@ def validate(spec: DistributionSpec) -> None:
     Construction already enforces the invariants, so this mainly guards
     instances rebuilt by deserialization or introspection.
     """
-    if not isinstance(spec, _SPEC_TYPES):
+    if not isinstance(spec, DistributionSpec):
         raise InvalidParameterError(f"not a DistributionSpec: {spec!r}")
     spec.__post_init__()
-    if isinstance(spec, Mixture):
-        validate(spec.first)
-        validate(spec.second)
 
 
 @dataclass(frozen=True)
@@ -252,29 +366,3 @@ class ExperimentConfig:
             raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "workers", _require_dim(self.workers, 1, "workers"))
-
-
-def as_observation(coords) -> Observation:
-    """Coerce ``coords`` to a 1-D float64 array of finite values."""
-    x = np.asarray(coords, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise InvalidParameterError(f"observation must be a nonempty 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidParameterError("observation coordinates must all be finite")
-    return x
-
-
-def dominates(x, y) -> bool:
-    """True iff ``x <= y`` coordinatewise (``y`` weakly dominates ``x``).
-
-    Weak dominance is used throughout: an observation equal to an earlier
-    one is dominated by it. For the continuous families ties occur with
-    probability zero, so weak and strict dominance agree almost surely;
-    fixing the weak convention keeps behavior deterministic on synthetic
-    inputs with ties.
-    """
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.shape != yv.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
-    return bool(np.all(xv <= yv))

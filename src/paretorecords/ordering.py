@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 
+#: Booleans per exceedance block in :func:`check_nuod`.
+_NUOD_BLOCK = 1 << 22
+
+
 @dataclass(frozen=True)
 class SurvivalTransformSample:
     """Survival values S(x) evaluated at points sampled from the same spec."""
@@ -211,9 +215,16 @@ def check_nuod(
     if samples < 2:
         raise InvalidParameterError(f"samples must be >= 2, got {samples}")
     x = sample_observations(spec, samples, rng)
-    exceed = x[:, None, :] > probes[None, :, :]  # (samples, k, d)
-    joint = exceed.all(axis=2).mean(axis=0)
-    marginals = exceed.mean(axis=0)  # (k, d)
+    # Exceedance counts over sample blocks of about _NUOD_BLOCK booleans, so
+    # memory stays bounded whatever samples and 3^d are.
+    step = max(1, _NUOD_BLOCK // probes.size)
+    joint_hits = marginal_hits = 0
+    for lo in range(0, samples, step):
+        exceed = x[lo : lo + step, None, :] > probes[None, :, :]  # (block, k, d)
+        joint_hits += np.count_nonzero(exceed.all(axis=2), axis=0)
+        marginal_hits += np.count_nonzero(exceed, axis=0)
+    joint = joint_hits / samples
+    marginals = marginal_hits / samples  # (k, d)
     product = marginals.prod(axis=1)
 
     var_joint = joint * (1.0 - joint) / samples

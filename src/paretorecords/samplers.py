@@ -10,7 +10,7 @@ pair ``(seed, stream)``, so
 
 Each sampler advances only the generator passed to it; none keep state.
 Batch draws fix an internal draw order (documented per family), so a batch is
-reproducible even though it is not the concatenation of scalar calls.
+reproducible even though it is not the concatenation of smaller batches.
 """
 
 from __future__ import annotations
@@ -18,25 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .model import (
-    Comonotone,
-    Dirichlet,
-    DistributionSpec,
-    ExponentialScaleMixture,
-    IidExponential,
-    MarginalDirichlet,
-    Mixture,
-    validate,
-)
+from .model import DistributionSpec, validate
 
-__all__ = [
-    "make_rng",
-    "sample_dirichlet",
-    "sample_exponential",
-    "sample_gamma",
-    "sample_observation",
-    "sample_observations",
-]
+__all__ = ["make_rng", "sample_observations"]
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -53,93 +37,13 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_exponential(rng: np.random.Generator, size=None):
-    """Standard Exponential(1) draw(s)."""
-    return rng.exponential(size=size)
-
-
-def sample_gamma(shape: float, rng: np.random.Generator, size=None):
-    """Unit-scale Gamma(shape) draw(s).
-
-    Exact rejection sampling for every shape > 0, including shape < 1
-    (numpy boosts a Gamma(shape + 1) draw by U^(1/shape) in that regime),
-    so the small-shape limit behaves correctly.
-    """
-    s = np.asarray(shape, dtype=np.float64)
-    if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
-        raise InvalidParameterError(f"gamma shape must be finite and > 0, got {shape!r}")
-    return rng.gamma(shape, size=size)
-
-
-def sample_dirichlet(b, rng: np.random.Generator, size=None):
-    """Dirichlet(b) draw(s) via the Gamma-ratio construction.
-
-    Independent G_j ~ Gamma(b_j) normalized by their sum land on the open
-    simplex and carry the Dirichlet(b) law. Returns shape (k,) for
-    ``size=None`` and (size, k) otherwise.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1 or b.size < 2:
-        raise InvalidParameterError(f"b must be a vector of length >= 2, got shape {b.shape}")
-    if not np.all(np.isfinite(b)) or np.any(b <= 0.0):
-        raise InvalidParameterError("all Dirichlet parameters must be finite and > 0")
-    shape = b.shape if size is None else (size, b.size)
-    g = rng.gamma(b, size=shape)
-    return g / g.sum(axis=-1, keepdims=True)
-
-
 def sample_observations(spec: DistributionSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` independent observations from ``spec`` as a (count, d) array.
 
-    Draw order per family (fixed for reproducibility):
-
-    * IidExponential: one block of count*d exponentials.
-    * MarginalDirichlet: count*d exponentials, then count Gamma(a) scales;
-      each row is E / (sum(E) + G), the first d coordinates of a
-      Dirichlet(1, ..., 1, a) vector.
-    * ExponentialScaleMixture: count*d exponentials, then count Gamma(a)
-      scales; each row is E / G.
-    * Dirichlet: count*k gammas (parameter-major), normalized per row.
-    * Comonotone: count exponentials, each repeated across the d coordinates.
-    * Mixture: count uniform selectors first (u < q picks ``second``), then
-      the ``first`` sub-batch, then the ``second`` sub-batch.
+    The draw order of each family is fixed for reproducibility and
+    documented on its ``sample`` method.
     """
     validate(spec)
     if count < 1:
         raise InvalidParameterError(f"count must be >= 1, got {count}")
-    return _sample_batch(spec, int(count), rng)
-
-
-def sample_observation(spec: DistributionSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw a single observation from ``spec`` (row 0 of a one-row batch)."""
-    return sample_observations(spec, 1, rng)[0]
-
-
-def _sample_batch(spec, m: int, rng) -> np.ndarray:
-    if isinstance(spec, IidExponential):
-        return rng.exponential(size=(m, spec.d))
-    if isinstance(spec, MarginalDirichlet):
-        e = rng.exponential(size=(m, spec.d))
-        g = rng.gamma(spec.a, size=(m, 1))
-        return e / (e.sum(axis=1, keepdims=True) + g)
-    if isinstance(spec, ExponentialScaleMixture):
-        e = rng.exponential(size=(m, spec.d))
-        g = rng.gamma(spec.a, size=(m, 1))
-        return e / g
-    if isinstance(spec, Dirichlet):
-        b = np.asarray(spec.b)
-        g = rng.gamma(b, size=(m, b.size))
-        return g / g.sum(axis=1, keepdims=True)
-    if isinstance(spec, Comonotone):
-        y = rng.exponential(size=(m, 1))
-        return np.repeat(y, spec.d, axis=1)
-    if isinstance(spec, Mixture):
-        pick_second = rng.random(m) < spec.q
-        out = np.empty((m, spec.dim))
-        m_first = int(m - pick_second.sum())
-        if m_first:
-            out[~pick_second] = _sample_batch(spec.first, m_first, rng)
-        if m - m_first:
-            out[pick_second] = _sample_batch(spec.second, m - m_first, rng)
-        return out
-    raise InvalidParameterError(f"unknown spec type: {spec!r}")
+    return spec.sample(int(count), rng)

@@ -30,7 +30,6 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import chi2
@@ -38,14 +37,7 @@ from scipy.stats import chi2
 from .errors import InvalidParameterError
 from .exact import pn_independent, pn_marginal_dirichlet, pn_scale_mixture, survival
 from .frontier import Frontier2D, GenericFrontier, StreamResult, run_stream
-from .model import (
-    DistributionSpec,
-    ExperimentConfig,
-    ExponentialScaleMixture,
-    IidExponential,
-    MarginalDirichlet,
-    validate,
-)
+from .model import DistributionSpec, ExperimentConfig, spec_from_json, validate
 from .samplers import make_rng, sample_observations
 
 __all__ = [
@@ -53,7 +45,6 @@ __all__ = [
     "EstimateWithCI",
     "MaximaEstimates",
     "SweepRow",
-    "TrajectorySummary",
     "concomitant_check",
     "concomitant_records",
     "estimate_maxima",
@@ -95,15 +86,6 @@ class MaximaEstimates:
     maxima: EstimateWithCI
     pn_hat: float
     identity_gap_sigma: float
-
-
-class TrajectorySummary(NamedTuple):
-    """End state of a single simulated stream."""
-
-    records_total: int
-    maxima_count: int
-    final_is_record: bool
-    final_broken: int
 
 
 @dataclass(frozen=True)
@@ -161,11 +143,6 @@ def simulate_trajectory(spec: DistributionSpec, n: int, rng: np.random.Generator
     """Sample one stream of length n from ``spec`` and fold it through a frontier."""
     obs = sample_observations(spec, n, rng)
     return run_stream(obs)
-
-
-def trajectory_summary(result: StreamResult) -> TrajectorySummary:
-    last = result.outcomes[-1]
-    return TrajectorySummary(result.records_total, result.maxima_count, last.is_record, last.broken)
 
 
 # ---------------------------------------------------------------------------
@@ -443,21 +420,12 @@ def _chi2_two_sample(h1: np.ndarray, h2: np.ndarray, min_expected: float = 5.0):
 # Sweeps
 # ---------------------------------------------------------------------------
 
-_SWEEP_EXACT = {
+#: Exact p_n(n, d, a) by family tag, looked up when called so that tracing can replace the names.
+EXACT_PN = {
     "dir": lambda n, d, a: pn_marginal_dirichlet(n, d, a),
     "pa": lambda n, d, a: pn_scale_mixture(n, d, a),
     "iid-exp": lambda n, d, a: pn_independent(n, d),
 }
-
-
-def _sweep_spec(family: str, d: int, a: float | None) -> DistributionSpec:
-    if family == "dir":
-        return MarginalDirichlet(d, a)
-    if family == "pa":
-        return ExponentialScaleMixture(d, a)
-    if family == "iid-exp":
-        return IidExponential(d)
-    raise InvalidParameterError(f'sweep family must be "dir", "pa" or "iid-exp", got {family!r}')
 
 
 def sweep(
@@ -488,7 +456,7 @@ def sweep(
         raise InvalidParameterError("exactly one nonempty grid among a_values/n_values/d_values required")
     if estimator not in ("indicator", "survival"):
         raise InvalidParameterError(f'estimator must be "indicator" or "survival", got {estimator!r}')
-    if family not in _SWEEP_EXACT:
+    if family not in EXACT_PN:
         raise InvalidParameterError(f'sweep family must be "dir", "pa" or "iid-exp", got {family!r}')
 
     points: list[tuple[int, int, float | None]]
@@ -504,10 +472,10 @@ def sweep(
         try:
             if nn is None or dd is None:
                 raise InvalidParameterError("fixed n and d must be provided for this grid")
-            exact = _SWEEP_EXACT[family](nn, dd, aa)
+            exact = EXACT_PN[family](nn, dd, aa)
             estimate = std_error = sigma_gap = None
             if reps > 0:
-                spec = _sweep_spec(family, dd, aa)
+                spec = spec_from_json({"family": family, "d": dd, "a": aa})
                 base = (idx + 1) * _PHASE_STRIDE
                 if estimator == "survival":
                     est = estimate_record_prob_survival(

@@ -10,9 +10,7 @@ from paretorecords.cli import (
     EXIT_PARTIAL,
     EXIT_VIOLATION,
     main,
-    read_table,
     spec_from_json,
-    spec_to_json,
 )
 from paretorecords.model import (
     Comonotone,
@@ -22,6 +20,8 @@ from paretorecords.model import (
     MarginalDirichlet,
     Mixture,
 )
+
+from tables import read_table
 
 
 def run_cli(capsys, *argv):
@@ -43,8 +43,8 @@ class TestSpecJson:
         ],
     )
     def test_round_trip(self, spec):
-        assert spec_from_json(spec_to_json(spec)) == spec
-        assert spec_from_json(json.dumps(spec_to_json(spec))) == spec
+        assert spec_from_json(spec.to_json()) == spec
+        assert spec_from_json(json.dumps(spec.to_json())) == spec
 
     def test_bad_family(self):
         with pytest.raises(Exception):

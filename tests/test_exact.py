@@ -26,7 +26,6 @@ from paretorecords import (
     pn_marginal_dirichlet_exact,
     pn_scale_mixture,
     pn_scale_mixture_exact,
-    record_prob_limit,
     roman_harmonic,
     roman_harmonic_direct,
     survival,
@@ -82,6 +81,19 @@ class TestIndependentCoordinates:
             for d in (1, 2, 3, 5):
                 exact = float(pn_independent_exact(n, d))
                 assert abs(pn_independent(n, d) - exact) <= 1e-12 * exact
+
+    def test_float_equals_loop_recurrence(self):
+        # H_m^(k) = sum_{j<=m} H_j^(k-1) / j summed left to right in a plain
+        # loop: the numpy column adds the same terms in the same order.
+        col = [1.0] * 300  # H^(0)
+        for d in range(2, 9):
+            acc, nxt = 0.0, []
+            for m, h in enumerate(col, start=1):
+                acc += h / m
+                nxt.append(acc)
+            col = nxt
+            for n in (1, 2, 3, 10, 99, 300):
+                assert pn_independent(n, d) == col[n - 1] / n, (n, d)
 
     def test_monotone_in_n_and_d(self):
         for d in range(1, 9):
@@ -310,7 +322,7 @@ class TestSurvivalTransformDensity:
 
 class TestRecordProbLimit:
     def test_pure_antichain(self):
-        assert record_prob_limit(Dirichlet((1.0, 2.0))) == 1.0
+        assert Dirichlet((1.0, 2.0)).limit == 1.0
 
     def test_positive_survival_families(self):
         for spec in (
@@ -319,16 +331,16 @@ class TestRecordProbLimit:
             ExponentialScaleMixture(2, 1.0),
             Comonotone(3),
         ):
-            assert record_prob_limit(spec) == 0.0
+            assert spec.limit == 0.0
 
     def test_mixture_mass(self):
         mix = Mixture(0.3, MarginalDirichlet(2, 1.0), Dirichlet((1.0, 1.0)))
-        assert record_prob_limit(mix) == pytest.approx(0.3)
+        assert mix.limit == pytest.approx(0.3)
         flipped = Mixture(0.3, Dirichlet((1.0, 1.0)), MarginalDirichlet(2, 1.0))
-        assert record_prob_limit(flipped) == pytest.approx(0.7)
+        assert flipped.limit == pytest.approx(0.7)
 
     def test_nested_mixture(self):
         inner = Mixture(0.5, Dirichlet((1.0, 1.0)), MarginalDirichlet(2, 1.0))
         outer = Mixture(0.2, inner, Dirichlet((1.0, 1.0)))
         # inner mass on the antichain is 0.5, outer adds 0.2 of a pure one
-        assert record_prob_limit(outer) == pytest.approx(0.8 * 0.5 + 0.2)
+        assert outer.limit == pytest.approx(0.8 * 0.5 + 0.2)

@@ -98,11 +98,14 @@ class TestRunStream:
             size = f.size
 
     def test_external_frontier_resumes(self):
+        head = np.random.default_rng(0).random((10, 2))
+        tail = np.random.default_rng(1).random((5, 2))
         f = GenericFrontier(2)
-        run_stream(np.random.default_rng(0).random((10, 2)), frontier=f)
-        assert f.n_seen == 10
-        run_stream(np.random.default_rng(1).random((5, 2)), frontier=f)
-        assert f.n_seen == 15
+        run_stream(head, frontier=f)
+        resumed = run_stream(tail, frontier=f)
+        whole = run_stream(np.concatenate([head, tail]))
+        assert resumed.outcomes == whole.outcomes[10:]
+        assert (resumed.records_total, resumed.maxima_count) == (whole.records_total, whole.maxima_count)
 
     def test_frontier_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):

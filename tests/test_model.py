@@ -1,22 +1,24 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from paretorecords import (
     Comonotone,
     Dirichlet,
-    DimensionMismatchError,
     ExperimentConfig,
     ExponentialScaleMixture,
     IidExponential,
     InvalidParameterError,
     MarginalDirichlet,
     Mixture,
-    as_observation,
-    dominates,
+    UnsupportedSpecError,
+    make_rng,
+    sample_observations,
+    survival,
     validate,
 )
+from paretorecords.model import FAMILIES, spec_from_json
 
 
 class TestSpecValidation:
@@ -84,39 +86,101 @@ class TestSpecValidation:
             ExperimentConfig(IidExponential(2), n=1, reps=1, seed=-1)
 
 
-class TestDominates:
-    def test_examples(self):
-        assert dominates((1, 2), (1, 3))
-        assert not dominates((1, 3), (2, 2))
-        assert dominates((0, 0), (0, 0))  # reflexive on equal points
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            dominates((1, 2), (1, 2, 3))
-
-    vectors = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
-
-    @given(vectors)
-    def test_reflexive(self, v):
-        assert dominates(v, v)
-
-    @given(st.data())
-    def test_transitive_and_antisymmetric(self, data):
-        dim = data.draw(st.integers(1, 4))
-        coord = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
-        x, y, z = data.draw(coord), data.draw(coord), data.draw(coord)
-        if dominates(x, y) and dominates(y, z):
-            assert dominates(x, z)
-        if dominates(x, y) and dominates(y, x):
-            assert x == y
+# Each family's batch rebuilt by hand from the draw order documented on its
+# ``sample`` method.
 
 
-class TestObservation:
-    def test_as_observation(self):
-        x = as_observation([1, 2, 3])
-        assert x.dtype == np.float64 and x.shape == (3,)
+def _iid_exp(rng, m, d):
+    return rng.exponential(size=(m, d))
 
-    @pytest.mark.parametrize("bad", [[], [[1, 2]], [1.0, float("inf")], [float("nan")]])
-    def test_rejects(self, bad):
-        with pytest.raises(InvalidParameterError):
-            as_observation(bad)
+
+def _marginal_dirichlet(rng, m, d, a):
+    e = rng.exponential(size=(m, d))
+    g = rng.gamma(a, size=(m, 1))
+    return e / (e.sum(axis=1, keepdims=True) + g)
+
+
+def _scale_mixture(rng, m, d, a):
+    e = rng.exponential(size=(m, d))
+    g = rng.gamma(a, size=(m, 1))
+    return e / g
+
+
+def _dirichlet(rng, m, b):
+    g = rng.gamma(np.array(b), size=(m, len(b)))
+    return g / g.sum(axis=1, keepdims=True)
+
+
+def _comonotone(rng, m, d):
+    return np.repeat(rng.exponential(size=(m, 1)), d, axis=1)
+
+
+def _nested_mixture(rng, m):
+    # Mixture(0.2, Mixture(0.5, Dirichlet((1, 1)), MarginalDirichlet(2, 1)), Dirichlet((1, 1))):
+    # selectors, then the first sub-batch (itself selectors, then its two
+    # sub-batches), then the second sub-batch.
+    outer = rng.random(m) < 0.2
+    inner_m = int((~outer).sum())
+    inner = rng.random(inner_m) < 0.5
+    first = np.empty((inner_m, 2))
+    first[~inner] = _dirichlet(rng, int((~inner).sum()), (1.0, 1.0))
+    first[inner] = _marginal_dirichlet(rng, int(inner.sum()), 2, 1.0)
+    out = np.empty((m, 2))
+    out[~outer] = first
+    out[outer] = _dirichlet(rng, int(outer.sum()), (1.0, 1.0))
+    return out
+
+
+NESTED = Mixture(
+    0.2, Mixture(0.5, Dirichlet((1.0, 1.0)), MarginalDirichlet(2, 1.0)), Dirichlet((1.0, 1.0))
+)
+
+FAMILY_CASES = [
+    (IidExponential(3), '{"family": "iid-exp", "d": 3}', lambda rng, m: _iid_exp(rng, m, 3), 0.0),
+    (
+        MarginalDirichlet(3, 1.5),
+        '{"family": "dir", "d": 3, "a": 1.5}',
+        lambda rng, m: _marginal_dirichlet(rng, m, 3, 1.5),
+        0.0,
+    ),
+    (
+        ExponentialScaleMixture(2, 0.5),
+        '{"family": "pa", "d": 2, "a": 0.5}',
+        lambda rng, m: _scale_mixture(rng, m, 2, 0.5),
+        0.0,
+    ),
+    (
+        Dirichlet((0.5, 1.0, 2.0)),
+        '{"family": "dirichlet", "b": [0.5, 1.0, 2.0]}',
+        lambda rng, m: _dirichlet(rng, m, (0.5, 1.0, 2.0)),
+        1.0,
+    ),
+    (Comonotone(2), '{"family": "comonotone", "d": 2}', lambda rng, m: _comonotone(rng, m, 2), 0.0),
+    (
+        NESTED,
+        '{"family": "mixture", "q": 0.2, "first": {"family": "mixture", "q": 0.5, '
+        '"first": {"family": "dirichlet", "b": [1.0, 1.0]}, "second": {"family": "dir", "d": 2, "a": 1.0}}, '
+        '"second": {"family": "dirichlet", "b": [1.0, 1.0]}}',
+        _nested_mixture,
+        # the inner mixture puts 0.5 on the antichain, the outer adds 0.2 of a pure one
+        0.8 * 0.5 + 0.2,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, text, by_hand, limit", FAMILY_CASES, ids=[case[0].family for case in FAMILY_CASES]
+)
+def test_family_contract(spec, text, by_hand, limit):
+    assert sorted(FAMILIES) == sorted(case[0].family for case in FAMILY_CASES)
+    assert spec_from_json(spec.to_json()) == spec
+    assert json.dumps(spec.to_json()) == text
+    assert spec_from_json(text) == spec
+    batch = sample_observations(spec, 64, make_rng(3, 0))
+    assert np.array_equal(batch, by_hand(make_rng(3, 0), 64))
+    assert spec.limit == pytest.approx(limit)
+    if isinstance(spec, (Dirichlet, Mixture)):
+        with pytest.raises(UnsupportedSpecError):
+            survival(spec, np.zeros(spec.dim))
+    else:
+        assert survival(spec, np.zeros(spec.dim)) == 1.0

@@ -26,6 +26,7 @@ from paretorecords import (
     survival_transform,
     survival_transform_cdf,
 )
+from paretorecords import ordering
 from paretorecords.ordering import _onesided_gaps, dominance_threshold
 
 
@@ -198,6 +199,16 @@ class TestNuod:
     def test_probe_dimension_check(self):
         with pytest.raises(InvalidParameterError):
             check_nuod(IidExponential(2), [[0.1, 0.2, 0.3]], 100, make_rng(0))
+
+    def test_block_size_does_not_change_result(self, monkeypatch):
+        spec = MarginalDirichlet(3, 1.0)
+        probes = default_probe_grid(spec, make_rng(16))
+        whole = check_nuod(spec, probes, 5000, make_rng(17))
+        monkeypatch.setattr(ordering, "_NUOD_BLOCK", 3 * probes.size + 1)  # 3 rows a block
+        blocked = check_nuod(spec, probes, 5000, make_rng(17))
+        assert np.array_equal(blocked.joint, whole.joint)
+        assert np.array_equal(blocked.product, whole.product)
+        assert np.array_equal(blocked.margin_sigma, whole.margin_sigma)
 
 
 class TestP2Bound:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import beta, kstest
 
 from paretorecords import (
     Comonotone,
@@ -13,10 +13,6 @@ from paretorecords import (
     MarginalDirichlet,
     Mixture,
     make_rng,
-    sample_dirichlet,
-    sample_exponential,
-    sample_gamma,
-    sample_observation,
     sample_observations,
     survival,
 )
@@ -47,8 +43,12 @@ class TestStreams:
 
 
 class TestKernels:
+    # The Exponential, Gamma and Dirichlet draws, checked through the families
+    # that use them. A MarginalDirichlet(d, a) row sums to E / (E + G) with
+    # E ~ Gamma(d) and G ~ Gamma(a), so the row sum is Beta(d, a).
+
     def test_exponential_moments(self):
-        x = sample_exponential(make_rng(1), size=10**6)
+        x = sample_observations(IidExponential(2), 5 * 10**5, make_rng(1)).ravel()
         n = x.size
         assert np.all(x > 0)
         assert abs(x.mean() - 1.0) < 4.0 / math.sqrt(n)  # Exp(1) sd = 1
@@ -57,35 +57,37 @@ class TestKernels:
         assert abs(tail - p) < 4.0 * math.sqrt(p * (1 - p) / n)
 
     def test_exponential_deterministic(self):
-        assert sample_exponential(make_rng(5)) == sample_exponential(make_rng(5))
+        first = sample_observations(IidExponential(1), 1, make_rng(5))
+        assert np.array_equal(first, sample_observations(IidExponential(1), 1, make_rng(5)))
 
     def test_gamma_shape_one_is_exponential(self):
-        g = sample_gamma(1.0, make_rng(2), size=10**5)
-        assert kstest(g, "expon").pvalue > 0.01
+        s = sample_observations(MarginalDirichlet(2, 1.0), 10**5, make_rng(2)).sum(axis=1)
+        assert kstest(s, beta(2, 1.0).cdf).pvalue > 0.01
 
     def test_gamma_small_shape_mean(self):
-        x = sample_gamma(0.5, make_rng(3), size=10**6)
-        # Gamma(0.5): mean 0.5, variance 0.5
-        assert abs(x.mean() - 0.5) < 4.0 * math.sqrt(0.5 / x.size)
+        s = sample_observations(MarginalDirichlet(3, 0.5), 10**5, make_rng(3)).sum(axis=1)
+        assert kstest(s, beta(3, 0.5).cdf).pvalue > 0.01
+        assert abs(s.mean() - beta(3, 0.5).mean()) < 4.0 * beta(3, 0.5).std() / math.sqrt(s.size)
 
     def test_gamma_variance(self):
-        x = sample_gamma(3.0, make_rng(4), size=10**6)
-        # var of the sample variance ~ (mu4 - sigma^4)/n with mu4 = 3*shape*(shape+2)... use
-        # a conservative 5% band instead of an exact fourth-moment bound.
-        assert abs(x.var() - 3.0) < 0.05 * 3.0
+        s = sample_observations(MarginalDirichlet(2, 3.0), 10**6, make_rng(4)).sum(axis=1)
+        # Beta(2, 3) variance is 0.04; a 5% band is far wider than its noise.
+        assert abs(s.var() - 0.04) < 0.05 * 0.04
 
     @pytest.mark.parametrize("shape", [0.0, -1.0, float("nan")])
     def test_gamma_invalid_shape(self, shape):
         with pytest.raises(InvalidParameterError):
-            sample_gamma(shape, make_rng(0))
+            MarginalDirichlet(2, shape)
+        with pytest.raises(InvalidParameterError):
+            ExponentialScaleMixture(2, shape)
 
     def test_dirichlet_normalization(self):
-        x = sample_dirichlet((0.3, 1.0, 4.0), make_rng(5), size=2000)
+        x = sample_observations(Dirichlet((0.3, 1.0, 4.0)), 2000, make_rng(5))
         assert np.all(x > 0)
         assert np.max(np.abs(x.sum(axis=1) - 1.0)) < 1e-12
 
     def test_dirichlet_uniform_marginal(self):
-        x = sample_dirichlet((1.0, 1.0), make_rng(6), size=10**5)
+        x = sample_observations(Dirichlet((1.0, 1.0)), 10**5, make_rng(6))
         assert kstest(x[:, 0], "uniform").pvalue > 0.01
 
     def test_dirichlet_mean_vs_gamma_ratio_oracle(self):
@@ -93,7 +95,7 @@ class TestKernels:
         # cross-check the sampler against an independently coded Gamma-ratio
         # simulation on a different stream.
         n = 10**6
-        x = sample_dirichlet((1.0, 1.0, 2.0), make_rng(7), size=n)[:, 0]
+        x = sample_observations(Dirichlet((1.0, 1.0, 2.0)), n, make_rng(7))[:, 0]
         oracle_rng = make_rng(7, stream=99)
         g = oracle_rng.gamma(np.array([1.0, 1.0, 2.0]), size=(n, 3))
         oracle = g[:, 0] / g.sum(axis=1)
@@ -104,7 +106,7 @@ class TestKernels:
     @pytest.mark.parametrize("b", [(1.0,), (1.0, 0.0), ()])
     def test_dirichlet_invalid(self, b):
         with pytest.raises(InvalidParameterError):
-            sample_dirichlet(b, make_rng(0))
+            Dirichlet(b)
 
 
 def _triangle_rejection_sampler(rng, count):
@@ -171,12 +173,6 @@ class TestObservationSampling:
         # second component lands exactly on the simplex, first never does
         frac = (np.abs(x.sum(axis=1) - 1.0) < 1e-9).mean()
         assert abs(frac - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / 10**5)
-
-    def test_single_observation_matches_batch(self):
-        spec = MarginalDirichlet(2, 0.7)
-        single = sample_observation(spec, make_rng(15))
-        batch = sample_observations(spec, 1, make_rng(15))
-        assert np.array_equal(single, batch[0])
 
     def test_batch_reproducible(self):
         spec = Mixture(0.5, IidExponential(2), ExponentialScaleMixture(2, 1.0))

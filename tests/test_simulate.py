@@ -23,7 +23,6 @@ from paretorecords import (
     simulate_trajectory,
     sweep,
 )
-from paretorecords.simulate import trajectory_summary
 
 
 class TestIndicatorEstimator:
@@ -238,10 +237,6 @@ class TestSweep:
 class TestTrajectory:
     def test_summary_fields(self):
         result = simulate_trajectory(MarginalDirichlet(2, 1.0), 50, make_rng(21))
-        summary = trajectory_summary(result)
-        assert summary.records_total == result.records_total
-        assert summary.maxima_count == result.maxima_count
-        assert summary.final_is_record == result.outcomes[-1].is_record
         assert len(result.outcomes) == 50
 
     def test_reproducible(self):
