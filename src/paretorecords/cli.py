@@ -453,7 +453,6 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, help="dimension")
     p.add_argument("--a", type=float, help="family parameter a > 0")
     p.add_argument("--b", help="comma-separated Dirichlet parameters")
-    p.add_argument("--q", type=float, help="mixture weight of the second component")
     p.add_argument("--spec", help="full spec as a JSON object (required for mixtures)")
 
 

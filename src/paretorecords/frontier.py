@@ -18,6 +18,12 @@ Two structures share one interface:
 Duplicate points are non-records under weak dominance; the first copy stays
 on the frontier. Counters: ``records_total`` is the number of inserts that
 were records (R_n), ``size`` the current antichain size (r_n).
+
+Users: ``run_stream`` and ``simulate_trajectory`` fold single streams; the
+record side of ``simulate.concomitant_records`` folds every sorted stream
+through :func:`make_frontier`; the batched maxima kernel
+``simulate._fold_streams`` feeds them only the points its prefilter cannot
+rule out on long streams. :func:`records_bruteforce` is the oracle for all.
 """
 
 from __future__ import annotations

@@ -22,6 +22,18 @@ Estimators
   in dimension d with the record count in dimension d-1 (they agree for any
   continuous law: sort the stream by the dropped coordinate).
 * :func:`sweep` -- one-parameter grids combining exact values and estimates.
+
+Maxima fold
+-----------
+``estimate_maxima`` and the maxima side of ``concomitant_check`` count r_n,
+R_n and the last-step record flag of a whole chunk of replicates with one
+batched dominance kernel, ``_fold_streams``, whose counts equal those of
+folding each stream point by point through ``make_frontier(d)``. Short
+streams compare all pairs across the replicate axis at once; long ones test
+doubling segments against the prefix frontier and fold only the points that
+can still be records. The record side of ``concomitant_check``
+(:func:`concomitant_records`) stays on the univariate running maximum and
+the streaming frontiers, so the check compares two independent code paths.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from scipy.stats import chi2
 
 from .errors import InvalidParameterError
 from .exact import pn_independent, pn_marginal_dirichlet, pn_scale_mixture, survival
-from .frontier import Frontier2D, GenericFrontier, StreamResult, run_stream
+from .frontier import StreamResult, make_frontier, run_stream
 from .model import DistributionSpec, ExperimentConfig, spec_from_json, validate
 from .samplers import make_rng, sample_observations
 
@@ -60,6 +72,15 @@ _INDICATOR_BUDGET = 1 << 18
 _SURVIVAL_CHUNK = 1 << 16
 _MAXIMA_BUDGET = 1 << 20
 _PHASE_STRIDE = 1 << 32
+# Inside a maxima chunk: booleans per dominance tile, the longest streams
+# folded by all-pairs tiles (d = 2, other d), and the first prefilter segment.
+# The two lengths are the measured crossovers of the tiles' n^2 cost against
+# the prefilter, whose survivors fold through Frontier2D at d = 2 but through
+# the several times slower GenericFrontier beyond.
+_TILE_BUDGET = 1 << 22
+_TILE_MAX_N_PLANAR = 192
+_TILE_MAX_N = 384
+_FIRST_SEGMENT = 16
 
 
 @dataclass(frozen=True)
@@ -217,37 +238,133 @@ def estimate_record_prob_survival(
 # ---------------------------------------------------------------------------
 
 
-def _fold_streams_2d(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m, n, _ = block.shape
-    r = np.empty(m, dtype=np.int64)
-    big_r = np.empty(m, dtype=np.int64)
-    final = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        fr = Frontier2D()
-        ins = fr._insert_xy
-        rec = False
-        for x, y in block[i].tolist():
+def _feed(frontier, rows: np.ndarray) -> bool:
+    """Insert ``rows`` (k, d) in order; return whether the last one was a record."""
+    rec = False
+    if frontier.d == 2:
+        ins = frontier._insert_xy
+        for x, y in rows.tolist():
             rec, _ = ins(x, y)
-        r[i] = fr.size
-        big_r[i] = fr.records_total
-        final[i] = rec
-    return r, big_r, final
+    else:
+        for row in rows:
+            rec = frontier.insert(row).is_record
+    return rec
 
 
-def _fold_streams_nd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stream_counts(block: np.ndarray) -> np.ndarray:
+    """(r_n, R_n, final) by folding every point through ``make_frontier(d)``."""
+    counts = []
+    for stream in block:
+        fr = make_frontier(block.shape[2])
+        final = _feed(fr, stream)
+        counts.append((fr.size, fr.records_total, final))
+    return np.array(counts, dtype=np.int64).T
+
+
+def _tile_counts(block: np.ndarray) -> np.ndarray:
+    """(r_n, R_n, final) from all-pairs dominance tiles, any d; rows NaN-free.
+
+    ``dom[j, i, k]`` says point i weakly dominates point j in replicate k;
+    the replicate axis is innermost, so every comparison and reduction runs
+    along contiguous memory. Point j is a record when no earlier point
+    dominates it, and stays on the frontier when in addition no *later
+    record* dominates it; a later non-record never does unless it duplicates
+    j, so this rule keeps the first copy of a duplicate, as the streaming
+    structures do.
+    """
     m, n, d = block.shape
-    r = np.empty(m, dtype=np.int64)
-    big_r = np.empty(m, dtype=np.int64)
-    final = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        fr = GenericFrontier(d)
-        rec = False
-        for row in block[i]:
-            rec = fr.insert(row).is_record
-        r[i] = fr.size
-        big_r[i] = fr.records_total
-        final[i] = rec
-    return r, big_r, final
+    out = np.empty((3, m), dtype=np.int64)
+    earlier = np.tril(np.ones((n, n), dtype=bool), -1)[:, :, None]  # [j, i]: i < j
+    step = max(1, _TILE_BUDGET // (n * n))
+    for s in range(0, m, step):
+        c = np.ascontiguousarray(block[s : s + step].transpose(2, 1, 0))  # (d, n, k)
+        dom = c[0][None, :, :] >= c[0][:, None, :]
+        for q in range(1, d):
+            dom &= c[q][None, :, :] >= c[q][:, None, :]
+        rec = ~(dom & earlier).any(axis=1)
+        # No earlier point dominates a record, so a record stays on the
+        # frontier iff the only record dominating it is itself.
+        dom &= rec[None, :, :]
+        alive = rec & (dom.sum(axis=1, dtype=np.uint16) == 1)
+        out[0, s : s + step] = alive.sum(axis=0)
+        out[1, s : s + step] = rec.sum(axis=0)
+        out[2, s : s + step] = rec[-1]
+    return out
+
+
+def _dominated(frontiers: list, seg: np.ndarray) -> np.ndarray:
+    """(m, L) mask of segment points weakly dominated by their replicate's frontier."""
+    m, L, d = seg.shape
+    sizes = np.fromiter((fr.size for fr in frontiers), np.int64, m)
+    pts = np.concatenate([fr.maxima for fr in frontiers])
+    # Pad each frontier to the longest by repeating its last point.
+    width = int(sizes.max())
+    front = pts[(np.cumsum(sizes) - sizes)[:, None] + np.minimum(np.arange(width), sizes[:, None] - 1)]
+    out = np.empty((m, L), dtype=bool)
+    step = max(1, _TILE_BUDGET // (L * width))
+    for s in range(0, m, step):
+        f, q = front[s : s + step], seg[s : s + step]
+        dom = f[:, None, :, 0] >= q[:, :, None, 0]
+        for k in range(1, d):
+            dom &= f[:, None, :, k] >= q[:, :, None, k]
+        out[s : s + step] = dom.any(axis=2)
+    return out
+
+
+def _prefilter_counts(block: np.ndarray) -> np.ndarray:
+    """(r_n, R_n, final) by folding only the points that can be records.
+
+    Lemma: the records of any time-ordered subset of a stream that holds
+    every record are the stream's records, and that subset ends with the
+    stream's frontier, since a non-record is always dominated by an earlier
+    record. Segments of doubling length are tested, across replicates at
+    once, against the frontier the prefix left; a dominated point is no
+    record, and the rest go through the streaming structures in time order.
+    """
+    m, n, d = block.shape
+    frontiers = [make_frontier(d) for _ in range(m)]
+    stop = min(_FIRST_SEGMENT, n)
+    last = np.array([_feed(fr, rows) for fr, rows in zip(frontiers, block[:, :stop])], dtype=bool)
+    while stop < n:
+        start, stop = stop, min(2 * stop, n)
+        seg = block[:, start:stop]
+        keep = ~_dominated(frontiers, seg)
+        survivors = seg[keep]
+        ends = np.cumsum(keep.sum(axis=1))
+        last[:] = False
+        lo = 0
+        for i, hi in enumerate(ends.tolist()):
+            if hi > lo:
+                last[i] = _feed(frontiers[i], survivors[lo:hi])
+                lo = hi
+        last &= keep[:, -1]
+    out = np.empty((3, m), dtype=np.int64)
+    out[0] = [fr.size for fr in frontiers]
+    out[1] = [fr.records_total for fr in frontiers]
+    out[2] = last
+    return out
+
+
+def _fold_streams(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Final maxima count r_n, record count R_n and last-step record flag per replicate.
+
+    ``block`` is (m, n, d), one stream per row. The counts equal those of
+    folding each stream through ``make_frontier(d)``: all-pairs tiles for
+    short streams, a frontier prefilter for long ones, and the streaming
+    fold itself for rows holding a NaN, where ``Frontier2D``'s bisection
+    has no total order to rely on.
+    """
+    m, n, d = block.shape
+    kernel = _tile_counts if n <= (_TILE_MAX_N_PLANAR if d == 2 else _TILE_MAX_N) else _prefilter_counts
+    nan = np.isnan(block).any(axis=(1, 2))
+    if not nan.any():
+        out = kernel(block)
+    else:
+        out = np.empty((3, m), dtype=np.int64)
+        out[:, nan] = _stream_counts(block[nan])
+        if not nan.all():
+            out[:, ~nan] = kernel(block[~nan])
+    return out[0], out[1], out[2]
 
 
 def estimate_maxima(config: ExperimentConfig, *, _stream_base: int = 0) -> MaximaEstimates:
@@ -255,13 +372,12 @@ def estimate_maxima(config: ExperimentConfig, *, _stream_base: int = 0) -> Maxim
     t0 = time.perf_counter()
     spec, n, reps = config.spec, config.n, config.reps
     d = spec.dim
-    fold = _fold_streams_2d if d == 2 else _fold_streams_nd
     rows = max(1, _MAXIMA_BUDGET // max(n, 1))
 
     def job(stream: int, m: int):
         rng = make_rng(config.seed, _stream_base + stream)
         block = sample_observations(spec, m * n, rng).reshape(m, n, d)
-        r, big_r, final = fold(block)
+        r, big_r, final = _fold_streams(block)
         diff = r - n * final  # mean zero iff E r_n = n p_n
         return (
             int(r.sum()), int(np.square(r).sum()),
@@ -320,9 +436,7 @@ def concomitant_records(block: np.ndarray) -> np.ndarray:
         sorted_first = np.take_along_axis(block[:, :, 0], order, axis=1)
         return _count_univariate_records(sorted_first)
     rest = np.take_along_axis(block[:, :, : d - 1], order[:, :, None], axis=1)
-    fold = _fold_streams_2d if d - 1 == 2 else _fold_streams_nd
-    _, big_r, _ = fold(rest)
-    return big_r
+    return _stream_counts(rest)[1]
 
 
 def concomitant_check(
@@ -337,9 +451,11 @@ def concomitant_check(
     Sorting a stream by its last coordinate turns the d-dimensional maxima
     into exactly the records of the first d-1 coordinates read in that
     order, so for any continuous law the two counts share one distribution.
-    The two samples here are drawn independently from disjoint stream
-    ranges and compared via completely different code paths (frontier fold
-    vs sort-and-count), making the test a cross-validation of both.
+    The two samples are drawn independently from disjoint stream ranges and
+    counted by different code: the maxima side by the batched dominance
+    kernel ``_fold_streams``, the record side by :func:`concomitant_records`
+    (a running maximum for d = 2, the streaming frontiers of ``frontier``
+    beyond), so the test cross-validates both.
     """
     validate(spec)
     d = spec.dim
@@ -348,12 +464,11 @@ def concomitant_check(
     if n < 1 or reps < 2:
         raise InvalidParameterError("need n >= 1 and reps >= 2")
     rows = max(1, _MAXIMA_BUDGET // max(n, 1))
-    fold = _fold_streams_2d if d == 2 else _fold_streams_nd
 
     def job_maxima(stream: int, m: int) -> np.ndarray:
         rng = make_rng(seed, stream)
         block = sample_observations(spec, m * n, rng).reshape(m, n, d)
-        r, _, _ = fold(block)
+        r, _, _ = _fold_streams(block)
         return np.bincount(r)
 
     def job_records(stream: int, m: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per criterion, one pass/fail line each.
+"""Acceptance suite: one test per criterion, one pass/fail line each with its wall time.
 
 The per-criterion lines are collected by the conftest terminal-summary
 hook, so they appear at the end of every pytest run regardless of output
@@ -45,12 +45,17 @@ from conftest import CRITERION_LINES
 
 @contextmanager
 def criterion(number: int, label: str):
+    t0 = time.perf_counter()
+
+    def line(verdict: str) -> str:
+        return f"{verdict} criterion {number:2d} ({time.perf_counter() - t0:.1f} s): {label}"
+
     try:
         yield
     except BaseException:
-        CRITERION_LINES.append(f"FAIL criterion {number:2d}: {label}")
+        CRITERION_LINES.append(line("FAIL"))
         raise
-    CRITERION_LINES.append(f"PASS criterion {number:2d}: {label}")
+    CRITERION_LINES.append(line("PASS"))
 
 
 def test_criterion_01_exact_formula_cross_validation():

@@ -8,6 +8,7 @@ from paretorecords.cli import (
     EXIT_OK,
     EXIT_PARAMETER,
     EXIT_PARTIAL,
+    EXIT_USAGE,
     EXIT_VIOLATION,
     main,
     spec_from_json,
@@ -145,6 +146,12 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         row = read_table(out, from_file=False)[0]
         assert 0.0 < row["estimate"] <= 1.0
+
+    def test_no_q_flag(self):
+        # A mixture weight is given only inside --spec; a bare --q is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--family", "dir", "--d", "2", "--a", "1", "--n", "3", "--q", "0.3"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_maxima_estimand(self, capsys):
         code, out, _ = run_cli(
