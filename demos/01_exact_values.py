@@ -51,4 +51,4 @@ print(
 
 print("\nExact rational evaluation survives where float alternating sums cancel:")
 val = pn_marginal_dirichlet(80, 2, Fraction(1, 2))
-print(f"  p_80(dir, d=2, a=1/2) = {val:.12f}  (default method switches to quadrature)")
+print(f"  p_80(dir, d=2, a=1/2) = {val:.12f}  (default method: the d-term Beta sum)")

@@ -20,7 +20,8 @@ class UnsupportedSpecError(RecordsError, TypeError):
 
 
 class PrecisionLossError(RecordsError, ArithmeticError):
-    """A floating-point alternating sum cancelled catastrophically.
+    """A float evaluation could not reach its accuracy.
 
-    Signals the caller to switch to the exact-rational or quadrature path.
+    Raised when a float alternating sum cancels catastrophically or when
+    quadrature does not converge; the exact-rational path always succeeds.
     """

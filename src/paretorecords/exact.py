@@ -13,11 +13,26 @@ the upper-orthant survival function. Three families admit closed forms:
   S(x) = (1 + ||x||_1)^(-a)  and  p_n = E(1 - Z^a)^(n-1),  Z ~ Beta(a, d).
 
 Because d is an integer, every Beta moment here collapses to the finite
-product  E Z^s = prod_{i<d} (a+i)/(a+s+i), which makes the alternating sums
-evaluable in exact rational arithmetic for any rational a. Floating-point
-alternating sums cancel catastrophically once n grows past a few dozen, so
-each evaluator offers three routes: exact rational, guarded float sum, and
-Gauss-Laguerre quadrature of the smooth log-domain integrand.
+product  E Z^s = prod_{i<d} (a+i)/(a+s+i), which makes the n-term
+alternating sums evaluable in exact rational arithmetic for any rational a.
+Expanding (1 - z)^(d-1) in the Beta density instead gives d terms and no
+integral (s = d+a-1 for dir, s = a for pa):
+
+    p_n = 1/(s B(a, d)) * sum_{k<d} (-1)^k C(d-1, k) B((a+k)/s, n).
+
+The default route sums these d terms in floats. Their cancellation factor
+kappa = sum |t_k| / |sum t_k| comes with them, and kappa times the terms' own
+rounding error bounds the sum's relative error. Where that bound exceeds
+:data:`PN_REL_TOL` (large a, small n) the default falls back to
+Gauss-Laguerre quadrature of the smooth log-domain integrand, which raises
+PrecisionLossError rather than return a value it could not converge to that
+tolerance. The explicit methods keep the n-term routes: exact rationals and
+the guarded float alternating sum (which cancels catastrophically once n
+passes a few dozen), and the quadrature alone.
+
+p*_n = H_n^(d-1)/n is computed in O(d^2) by Newton's identities: H_n^(k) is
+the complete homogeneous symmetric polynomial h_k(1, 1/2, ..., 1/n) of the
+power sums P_i = sum_{j<=n} j^(-i).
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ from typing import Union
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, digamma, gammaln, zeta
 
 from .errors import DimensionMismatchError, InvalidParameterError, PrecisionLossError
 from .model import DistributionSpec
@@ -72,8 +87,11 @@ class AlternatingSumFloat:
 class GaussQuadrature:
     """Gauss-Laguerre quadrature of the log-domain integrand.
 
-    ``nodes`` is the starting rule size; the rule is doubled (up to 4096
-    nodes) until two successive evaluations agree to ~1e-11.
+    ``nodes`` is the starting rule size; the rule is doubled until two
+    successive evaluations agree to a relative 1e-11. At 4096 nodes (or one
+    doubling past a larger start) it returns if the last two agree to
+    :data:`PN_REL_TOL` and raises PrecisionLossError otherwise, as it does
+    for dir at small a, whose integrand varies below the smallest node.
     """
 
     nodes: int = 128
@@ -87,6 +105,19 @@ EvalMethod = Union[AlternatingSumExact, AlternatingSumFloat, GaussQuadrature]
 
 #: Float alternating sums abort when max |partial sum| / |result| exceeds this.
 CANCELLATION_LIMIT = 1e9
+
+#: Relative accuracy of every value the default dir/pa route returns; a value
+#: it cannot certify to this raises PrecisionLossError.
+PN_REL_TOL = 1e-9
+# A term t_k of the d-term Beta sum is exp of a sum of logs whose magnitudes
+# add up to m_k, so its relative error is at most (_TERM_ULPS + m_k) ulps; the
+# sum's is then at most sum_k |t_k| (_TERM_ULPS + m_k) eps / |sum_k t_k|,
+# i.e. kappa times the terms' own error.
+_TERM_ULPS = 16
+_EPS = float(np.finfo(float).eps)
+# Quadrature refines until successive rules agree to this, up to _QUAD_MAX_NODES.
+_QUAD_REL_TOL = 1e-11
+_QUAD_MAX_NODES = 4096
 
 # ---------------------------------------------------------------------------
 # Roman harmonic numbers and the independent-coordinates probability
@@ -159,24 +190,37 @@ def pn_independent_exact(n: int, d: int) -> Fraction:
     return roman_harmonic(n, int(d) - 1) / n
 
 
+# Below this n, pn_independent sums the power sums term by term.
+_POWER_SUM_DIRECT_N = 64
+
+
 def pn_independent(n: int, d: int) -> float:
     """Record probability for independent coordinates (any continuous marginals).
 
-    Equals 1/n for d = 1 and H_n^(d-1)/n in general; computed by the
-    positive-term float recurrence, accurate to ~1e-14 relative.
+    Equals 1/n for d = 1 and H_n^(d-1)/n in general. H_n^(k) is the complete
+    homogeneous symmetric polynomial h_k(1, 1/2, ..., 1/n), computed from the
+    power sums P_i = sum_{j<=n} j^(-i) by Newton's identities
+    k h_k = sum_{i<=k} P_i h_(k-i): O(d^2) time and O(1) memory in n, with
+    every term positive. P_1 = psi(n+1) + gamma and P_i = zeta(i) - zeta(i, n+1)
+    (summed directly for small n). Accurate to ~1e-14 relative.
     """
     n, _ = _check_nk(n, 0)
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
-    d = int(d)
-    if d == 1:
-        return 1.0 / n
-    # roman_harmonic's recurrence in float, one column per order, none kept after the call.
-    m = np.arange(1.0, n + 1)
-    col = np.cumsum(1.0 / m)
-    for _ in range(d - 2):
-        col = np.cumsum(col / m)
-    return float(col[-1] / n)
+    k = int(d) - 1
+    orders = np.arange(1.0, k + 1)
+    if n < _POWER_SUM_DIRECT_N:
+        j = np.arange(float(n), 0.0, -1.0)  # smallest terms first
+        power = (j ** -orders[:, None]).sum(axis=1)
+    else:
+        nf = float(n)
+        power = np.empty(k)
+        power[:1] = digamma(nf + 1.0) + np.euler_gamma
+        power[1:] = zeta(orders[1:], 1.0) - zeta(orders[1:], nf + 1.0)
+    h = [1.0]
+    for m in range(1, k + 1):
+        h.append(math.fsum(power[i - 1] * h[m - i] for i in range(1, m + 1)) / m)
+    return h[k] / n
 
 
 # ---------------------------------------------------------------------------
@@ -255,35 +299,121 @@ _LAGUERRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _gauss_laguerre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Golub-Welsch on the Laguerre Jacobi matrix; stable at any size
-    # (scipy.special.roots_laguerre overflows above ~500 nodes).
+    # Nodes: eigenvalues of the Laguerre Jacobi matrix (Golub-Welsch; stable
+    # at any size, unlike scipy.special.roots_laguerre above ~500 nodes).
+    # Weights: Christoffel numbers 1 / sum_{k<m} L_k(t)^2 from the
+    # orthonormal recurrence (k+1) L_{k+1} = (2k+1-t) L_k - k L_{k-1}. They
+    # keep full relative accuracy where eigenvector components, whose error
+    # is absolute, do not: the weights of the large nodes that carry p_n at
+    # large n. Nodes beyond 800 get weight 0 (the true weight is < e^-745).
     cached = _LAGUERRE_CACHE.get(m)
     if cached is None:
-        diag = 2.0 * np.arange(m) + 1.0
-        off = np.arange(1.0, m)
-        nodes, vecs = eigh_tridiagonal(diag, off)
-        cached = _LAGUERRE_CACHE[m] = (nodes, vecs[0] ** 2)
+        nodes = eigh_tridiagonal(2.0 * np.arange(m) + 1.0, np.arange(1.0, m), eigvals_only=True)
+        t = nodes[nodes < 800.0]
+        prev, cur = np.zeros_like(t), np.ones_like(t)
+        total = np.ones_like(t)
+        log_scale = np.zeros_like(t)  # the sum is total * exp(2 log_scale)
+        for k in range(m - 1):
+            prev, cur = cur, ((2 * k + 1 - t) * cur - k * prev) / (k + 1)
+            total += cur * cur
+            if total.max() > 1e200:
+                f = np.sqrt(total)
+                prev /= f
+                cur /= f
+                total /= f * f
+                log_scale += np.log(f)
+        weights = np.zeros(m)
+        weights[: t.size] = np.exp(-2.0 * log_scale) / total
+        cached = _LAGUERRE_CACHE[m] = (nodes, weights)
     return cached
 
 
 def _pn_quadrature(n: int, d: int, a: float, s: float, nodes: int) -> float:
     # In the log domain (x = e^{-y}) the integrand is analytic:
     #   p = (1/B(a,d)) int_0^inf e^{-a y} (1-e^{-y})^{d-1} (1-e^{-s y})^{n-1} dy,
-    # and substituting t = a*y turns the weight into plain e^{-t}.
-    log_norm = math.log(a) + gammaln(a) + gammaln(d) - gammaln(a + d)
+    # and substituting t = a*y turns the weight into plain e^{-t}. The powers
+    # are taken in logs: raising a rounded base to the power n-1 would
+    # multiply its rounding error by n.
+    # ln(a B(a, d)), with B(a, d) = (d-1)! / prod_{i<d} (a+i) exact at any a
+    log_norm = math.log(a) + math.lgamma(d) - float(np.log(a + np.arange(d)).sum())
     prev = None
     m = nodes
     while True:
         t, w = _gauss_laguerre(m)
         y = t / a
-        f = (-np.expm1(-y)) ** (d - 1) * (-np.expm1(-s * y)) ** (n - 1)
-        cur = float(np.sum(w * f) * math.exp(-log_norm))
-        if prev is not None and abs(cur - prev) <= 1e-11 * max(1.0, abs(cur)):
-            return cur
-        if m >= 4096:
-            return cur
+        with np.errstate(divide="ignore"):
+            log_f = (d - 1) * np.log(-np.expm1(-y)) + (n - 1) * np.log1p(-np.exp(-s * y))
+        cur = float(np.sum(w * np.exp(log_f - log_norm)))
+        if prev is not None:
+            gap = abs(cur - prev)
+            if gap <= _QUAD_REL_TOL * cur:
+                return cur
+            if m >= _QUAD_MAX_NODES:
+                if gap <= PN_REL_TOL * cur:
+                    return cur
+                raise PrecisionLossError(
+                    f"quadrature did not converge: {m} and {m // 2} nodes differ by "
+                    f"{gap / cur:.1e} relative (n={n}, d={d}, a={a}); AlternatingSumExact is exact"
+                )
         prev = cur
         m *= 2
+
+
+# From this n on, _log_beta_n uses Stirling's series instead of a product.
+_STIRLING_MIN_N = 65
+
+
+def _stirling_tail(z):
+    # ln G(z) - [(z - 1/2) ln z - z + ln(2 pi)/2]; truncation error < 1e-22 for z >= 65.
+    r = 1.0 / (z * z)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / z
+
+
+def _log_beta_n(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """ln B(x, n) for x > 0 and integer n >= 2, and the size of the logs it sums.
+
+    ``scipy.special.betaln`` loses up to 2e-9 here at large n: the answer is
+    a small difference of large log-Gammas. Below ``_STIRLING_MIN_N`` this
+    uses B(x, n) = (1/x) prod_{j<n} 1/(1 + x/j); beyond, ln G(n+x) - ln G(n)
+    = (n - 1/2) log1p(x/n) + x ln(n+x) - x plus the difference of the
+    Stirling tails at n+x and n, which stays accurate for large x. The error
+    of ln B is a few ulps of the second value, the summed magnitude of its
+    pieces: close to |ln B| while x << n, and larger only where B is small.
+    """
+    if n < _STIRLING_MIN_N:
+        log_x = np.log(x)
+        log_rise = np.log1p(x[:, None] / np.arange(1.0, n)).sum(axis=1)
+        return -log_x - log_rise, np.abs(log_x) + log_rise
+    nf = float(n)
+    log_gamma = gammaln(x)
+    log_rise = (nf - 0.5) * np.log1p(x / nf) + x * np.log(nf + x) - x + _stirling_tail(nf + x) - _stirling_tail(nf)
+    return log_gamma - log_rise, np.abs(log_gamma) + log_rise
+
+
+def _pn_beta_terms(n: int, d: int, a: float, s: float) -> tuple[float, float]:
+    """p_n as the d-term Beta sum, with a bound on its relative error.
+
+    t_k = (-1)^k C(d-1, k) B((a+k)/s, n) / (s B(a, d)); the bound is inf when
+    the computed sum is not positive.
+    """
+    k = np.arange(d)
+    # -ln(s B(a, d)) with B(a, d) = (d-1)! / prod_{i<d} (a+i)
+    log_norm = np.log(a + k).sum() - math.lgamma(d) - math.log(s)
+    log_binom = math.lgamma(d) - gammaln(k + 1.0) - gammaln(d - k)
+    # At extreme a a term can overflow (then no bound holds) or underflow
+    # to 0 with an infinite size (then it adds no error).
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_beta, log_beta_size = _log_beta_n((a + k) / s, n)
+        terms = np.exp(log_binom + log_norm + log_beta)
+        err = terms * (_TERM_ULPS + abs(log_norm) + np.abs(log_binom) + log_beta_size)
+    if not np.isfinite(terms).all():
+        return math.nan, math.inf
+    err_sum = float(err[terms > 0.0].sum())
+    terms[1::2] *= -1.0
+    total = math.fsum(terms.tolist())
+    if not total > 0.0:
+        return total, math.inf
+    return total, err_sum * _EPS / total
 
 
 def _pn_family(n, d, a, dir_family: bool, method: EvalMethod | None) -> float:
@@ -292,7 +422,10 @@ def _pn_family(n, d, a, dir_family: bool, method: EvalMethod | None) -> float:
         return 1.0
     s = af + (d - 1) if dir_family else af
     if method is None:
-        method = AlternatingSumFloat() if n <= 30 else GaussQuadrature()
+        value, bound = _pn_beta_terms(n, d, af, s)
+        if bound <= PN_REL_TOL:
+            return min(value, 1.0)  # p_n <= 1; the rounding may not know it
+        method = GaussQuadrature()
     if isinstance(method, AlternatingSumExact):
         return float(_pn_exact(n, d, a, dir_family))
     if isinstance(method, AlternatingSumFloat):
@@ -309,8 +442,10 @@ def pn_marginal_dirichlet(n: int, d: int, a, method: EvalMethod | None = None) -
     decreasing in a, with limits 1 (a -> 0) and the independent-coordinates
     value (a -> infinity); always >= :func:`pn_independent`.
 
-    ``method=None`` uses the guarded float sum for n <= 30 and quadrature
-    beyond, where binomial growth makes the float sum cancel.
+    ``method=None`` sums the d-term Beta form (see the module docstring)
+    wherever its error bound meets :data:`PN_REL_TOL`, and uses
+    quadrature elsewhere (large a, small n); either way the value is within
+    PN_REL_TOL relative or PrecisionLossError is raised.
     """
     return _pn_family(n, d, a, True, method)
 
@@ -331,6 +466,7 @@ def pn_scale_mixture(n: int, d: int, a, method: EvalMethod | None = None) -> flo
     Evaluates E(1 - Z^a)^(n-1) with Z ~ Beta(a, d). Strictly increasing in
     a, with limits 1/n (a -> 0) and the independent-coordinates value
     (a -> infinity); always between 1/n and :func:`pn_independent`.
+    ``method=None`` works as in :func:`pn_marginal_dirichlet`.
     """
     return _pn_family(n, d, a, False, method)
 

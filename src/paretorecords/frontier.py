@@ -203,8 +203,11 @@ def records_bruteforce(observations) -> tuple[np.ndarray, int]:
         obs = obs[:, None]
     if obs.ndim != 2 or obs.shape[0] == 0:
         raise InvalidParameterError(f"observations must form a nonempty (n, d) array, got shape {obs.shape}")
-    # dom[i, j] == True iff point i weakly dominates point j.
-    dom = np.all(obs[:, None, :] >= obs[None, :, :], axis=2)
+    # dom[i, j] == True iff point i weakly dominates point j; built one
+    # coordinate at a time, so no (n, n, d) array is formed.
+    dom = obs[:, None, 0] >= obs[None, :, 0]
+    for q in range(1, obs.shape[1]):
+        dom &= obs[:, None, q] >= obs[None, :, q]
     np.fill_diagonal(dom, False)
     earlier = np.triu(dom, k=1)  # rows i < columns j
     is_record = ~earlier.any(axis=0)

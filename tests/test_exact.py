@@ -1,10 +1,15 @@
 import math
+import time
+import tracemalloc
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import paretorecords.exact as exact_mod
 from paretorecords import (
     AlternatingSumExact,
     AlternatingSumFloat,
@@ -34,6 +39,14 @@ from paretorecords import (
 )
 
 A_GRID = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0]
+#: Relative tolerance of the float p*_n against exact rationals.
+PSTAR_REL_TOL = 1e-14
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
 
 
 class TestRomanHarmonic:
@@ -82,9 +95,10 @@ class TestIndependentCoordinates:
                 exact = float(pn_independent_exact(n, d))
                 assert abs(pn_independent(n, d) - exact) <= 1e-12 * exact
 
-    def test_float_equals_loop_recurrence(self):
+    def test_float_matches_loop_recurrence(self):
         # H_m^(k) = sum_{j<=m} H_j^(k-1) / j summed left to right in a plain
-        # loop: the numpy column adds the same terms in the same order.
+        # loop. Newton's identities add other terms in another order, so the
+        # two agree to a few ulps, not bit for bit.
         col = [1.0] * 300  # H^(0)
         for d in range(2, 9):
             acc, nxt = 0.0, []
@@ -92,8 +106,37 @@ class TestIndependentCoordinates:
                 acc += h / m
                 nxt.append(acc)
             col = nxt
-            for n in (1, 2, 3, 10, 99, 300):
-                assert pn_independent(n, d) == col[n - 1] / n, (n, d)
+            for n in (1, 2, 3, 10, 63, 64, 65, 99, 300):
+                ref = col[n - 1] / n
+                assert abs(pn_independent(n, d) - ref) <= PSTAR_REL_TOL * ref, (n, d)
+
+    def test_newton_identities_match_rationals(self):
+        # Both sides of the direct-sum / zeta switch at n = 64.
+        for n in list(range(1, 80)) + [100, 300]:
+            for d in range(1, 9):
+                exact = float(pn_independent_exact(n, d))
+                assert abs(pn_independent(n, d) - exact) <= PSTAR_REL_TOL * exact, (n, d)
+
+    def test_matches_cumsum_recurrence_at_large_n(self):
+        m = np.arange(1.0, 10**6 + 1)
+        col = np.cumsum(1.0 / m)  # H^(1)
+        for d in range(2, 7):
+            ref = col[-1] / m[-1]
+            assert abs(pn_independent(10**6, d) - ref) <= 1e-12 * ref, d
+            col = np.cumsum(col / m)
+
+    def test_large_n_is_cheap(self):
+        # O(d^2) work and no array of length n, which would take ~2.4 GB here.
+        pn_independent(10**8, 6)
+        best = min(_timed(pn_independent, 10**8, 6) for _ in range(20))
+        assert best < 1e-3
+        tracemalloc.start()
+        try:
+            pn_independent(10**8, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_monotone_in_n_and_d(self):
         for d in range(1, 9):
@@ -225,6 +268,181 @@ class TestFamilyProbabilities:
             pn_scale_mixture(2, 2, 0.0)
         with pytest.raises(InvalidParameterError):
             GaussQuadrature(nodes=4)
+
+
+def _dterm_oracle(n, d, a, dir_family, dps=40):
+    """p_n from the d-term Beta sum in mpmath: the default route's identity,
+    computed apart from the package at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(a.numerator) / a.denominator if isinstance(a, Fraction) else mpmath.mpf(a)
+        s = a + d - 1 if dir_family else a
+        total = mpmath.fsum(
+            (-1) ** k * mpmath.binomial(d - 1, k) * mpmath.beta((a + k) / s, n) for k in range(d)
+        )
+        return total / (s * mpmath.beta(a, d))
+
+
+def _rel_err(value, ref):
+    with mpmath.workdps(40):
+        return float(abs((mpmath.mpf(value) - ref) / ref))
+
+
+FAMILIES = [(pn_marginal_dirichlet, True), (pn_scale_mixture, False)]
+
+# Quadrature of the dir integrand misses a relative 1e-6 at these points
+# (by 4e-5 to 7e-4): its feature at small a lies below the smallest node.
+FORMER_DIR_FAULTS = [
+    (31, 2, 1e-3),
+    (100, 3, 1e-3),
+    (1000, 4, 1e-2),
+    (10_000, 5, 1e-3),
+    (100_000, 6, 1e-3),
+    (1_000_000, 2, 1e-2),
+    (1_000_000, 3, 1e-3),
+]
+
+
+class TestDefaultRoute:
+    """The default dir/pa evaluator: d-term Beta sum, quadrature where it cancels."""
+
+    def test_oracle_matches_rationals(self):
+        for n in (2, 5, 31):
+            for d in (2, 3, 6):
+                for a in (Fraction(1, 1000), Fraction(1, 20), Fraction(1), Fraction(30), Fraction(1000)):
+                    for exact_fn, dir_family in (
+                        (pn_marginal_dirichlet_exact, True),
+                        (pn_scale_mixture_exact, False),
+                    ):
+                        r = exact_fn(n, d, a)
+                        ref = _dterm_oracle(n, d, a, dir_family)
+                        with mpmath.workdps(40):
+                            rat = mpmath.mpf(r.numerator) / r.denominator
+                            assert abs(ref - rat) <= mpmath.mpf(10) ** -20 * rat, (n, d, a, dir_family)
+
+    def test_grid_against_mpmath(self):
+        for fn, dir_family in FAMILIES:
+            for n in (2, 31, 50, 200, 10**4, 10**6, 10**8):
+                for d in (2, 3, 4, 6):
+                    for a in (1e-3, 0.05, 1.0, 30.0, 1e3):
+                        err = _rel_err(fn(n, d, a), _dterm_oracle(n, d, a, dir_family))
+                        assert err <= exact_mod.PN_REL_TOL, (fn.__name__, n, d, a, err)
+
+    def test_former_dir_faults(self):
+        for n, d, a in FORMER_DIR_FAULTS:
+            err = _rel_err(pn_marginal_dirichlet(n, d, a), _dterm_oracle(n, d, a, True))
+            assert err <= exact_mod.PN_REL_TOL, (n, d, a, err)
+
+    def test_pa_d2_a1_closed_form(self):
+        # Z ~ Beta(1, 2): p_n = E(1 - Z)^(n-1) = 2 / (n + 1).
+        n = 10**8
+        assert abs(pn_scale_mixture(n, 2, 1.0) - 2 / (n + 1)) <= 1e-14 * (2 / (n + 1))
+
+    def test_routing(self, monkeypatch):
+        calls = []
+        real = exact_mod._pn_quadrature
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(exact_mod, "_pn_quadrature", spy)
+        # Large a and small n: the d terms cancel to ~1e14, so quadrature runs.
+        value = pn_marginal_dirichlet(2, 6, 1000.0)
+        assert len(calls) == 1
+        exact = float(pn_marginal_dirichlet_exact(2, 6, 1000.0))
+        assert abs(value - exact) <= exact_mod.PN_REL_TOL * exact
+        # Small a at any n: the d terms barely cancel, so no quadrature.
+        pn_marginal_dirichlet(10**6, 3, 1e-3)
+        pn_scale_mixture(10**8, 6, 1e-3)
+        assert len(calls) == 1
+
+    def test_error_bound_holds(self):
+        # The bound the route gates on must cover the true error.
+        for dir_family in (True, False):
+            for n, d, a in [(2, 6, 30.0), (50, 4, 30.0), (10**4, 3, 1e3), (10**8, 2, 1e3), (31, 6, 1e-3)]:
+                s = a + d - 1 if dir_family else a
+                value, bound = exact_mod._pn_beta_terms(n, d, a, s)
+                assert _rel_err(value, _dterm_oracle(n, d, a, dir_family)) <= bound, (n, d, a)
+
+    def test_extreme_a_meets_the_limits(self):
+        # Within 1e-300 or 1e-15 of its a -> 0 or a -> inf limit, p_n equals
+        # the limit to far below PN_REL_TOL; no overflow may escape as a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (2, 65, 10**18):
+                for d in (2, 6):
+                    star = pn_independent(n, d)
+                    for fn, tiny_limit in ((pn_marginal_dirichlet, 1.0), (pn_scale_mixture, 1.0 / n)):
+                        for a, limit in ((1e-300, tiny_limit), (1e15, star), (1e300, star)):
+                            value = fn(n, d, a)
+                            assert abs(value - limit) <= exact_mod.PN_REL_TOL * limit, (fn.__name__, n, d, a)
+
+    def test_quadrature_raises_when_unconverged(self):
+        # dir at a = 1e-3 puts the integrand's feature below the smallest
+        # node; the explicit quadrature must raise, not return its guess.
+        with pytest.raises(PrecisionLossError):
+            pn_marginal_dirichlet(100, 3, 1e-3, GaussQuadrature())
+
+    def test_strictly_monotone_across_the_switch(self):
+        # n = 30 sweeps in a cross the d-term / quadrature switch (a ~ 22-44 here).
+        grid = np.geomspace(1.0, 100.0, 400)
+        for fn, sign in ((pn_marginal_dirichlet, -1.0), (pn_scale_mixture, 1.0)):
+            for d in (5, 6):
+                vals = np.array([fn(30, d, a) for a in grid])
+                assert np.all(sign * np.diff(vals) > 0), (fn.__name__, d)
+
+
+class TestGaussLaguerre:
+    def test_matches_scipy_rule(self):
+        # scipy's rule is accurate up to a few hundred nodes.
+        from scipy.special import roots_laguerre
+
+        for m in (64, 300):
+            t, w = exact_mod._gauss_laguerre(m)
+            rt, rw = roots_laguerre(m)
+            assert np.allclose(t, rt, rtol=1e-11, atol=0)
+            kept = rw > 1e-250
+            assert np.allclose(w[kept], rw[kept], rtol=1e-11, atol=0)
+
+    def test_moments_at_large_rules(self):
+        # sum_i w_i t_i^j = j! for j < 2m; the weights of the large nodes count most.
+        for m in (1024, 2048):
+            t, w = exact_mod._gauss_laguerre(m)
+            assert np.all(w >= 0)
+            for j in (0, 1, 5, 20, 40):
+                assert abs(np.sum(w * t**j) / math.factorial(j) - 1) <= 1e-12, (m, j)
+
+
+class TestLogBetaHelper:
+    X = np.array([1e-3, 0.05, 0.5, 1.0, 1.7, 3.0, 30.0, 5001.0])
+
+    @staticmethod
+    def _ref(x, n):
+        with mpmath.workdps(40):
+            return [mpmath.log(mpmath.beta(mpmath.mpf(float(v)), n)) for v in x]
+
+    def _check(self, got, x, n):
+        log_beta, size = got
+        for v, g, m, r in zip(x, log_beta, size, self._ref(x, n)):
+            # A few ulps of the pieces' size; near |ln B| while x << n.
+            assert abs(g - r) <= 8 * np.finfo(float).eps * (1 + m), (n, v, g, r)
+            if v <= 3:
+                assert m <= 2 * abs(r) + 10, (n, v, m, r)
+
+    def test_product_branch(self):
+        for n in (2, 3, 10, 64):
+            self._check(exact_mod._log_beta_n(self.X, n), self.X, n)
+
+    def test_stirling_branch(self):
+        for n in (65, 1000, 10**6, 10**8, 10**12):
+            self._check(exact_mod._log_beta_n(self.X, n), self.X, n)
+
+    def test_both_branches_at_the_boundary(self, monkeypatch):
+        edge = exact_mod._STIRLING_MIN_N
+        for n in (edge - 1, edge):
+            for switch in (n, n + 1):  # Stirling at n, then the product at n
+                monkeypatch.setattr(exact_mod, "_STIRLING_MIN_N", switch)
+                self._check(exact_mod._log_beta_n(self.X, n), self.X, n)
 
 
 class TestSurvival:
