@@ -16,6 +16,7 @@ from paretorecords import (
     pn_independent,
     pn_independent_exact,
     pn_marginal_dirichlet,
+    pn_marginal_dirichlet_exact,
     pn_scale_mixture,
     roman_harmonic,
 )
@@ -49,6 +50,8 @@ print(
     "families sweep out every record probability in [1/n, 1]."
 )
 
-print("\nExact rational evaluation survives where float alternating sums cancel:")
-val = pn_marginal_dirichlet(80, 2, Fraction(1, 2))
-print(f"  p_80(dir, d=2, a=1/2) = {val:.12f}  (default method: the d-term Beta sum)")
+print("\nAt n = 80 the n-term alternating sum cancels far beyond float precision;")
+print("exact rationals evaluate it, and the float route's d-term Beta sum agrees:")
+exact = pn_marginal_dirichlet_exact(80, 2, Fraction(1, 2))
+print(f"  p_80(dir, d=2, a=1/2) = {float(exact):.12f}  (exact rational)")
+print(f"  p_80(dir, d=2, a=1/2) = {pn_marginal_dirichlet(80, 2, 0.5):.12f}  (float)")

@@ -16,10 +16,6 @@ from .errors import (
     UnsupportedSpecError,
 )
 from .exact import (
-    AlternatingSumExact,
-    AlternatingSumFloat,
-    GaussQuadrature,
-    beta_power_moment,
     pn_independent,
     pn_independent_exact,
     pn_marginal_dirichlet,
@@ -29,8 +25,6 @@ from .exact import (
     roman_harmonic,
     roman_harmonic_direct,
     survival,
-    survival_transform_cdf,
-    survival_transform_density,
 )
 from .frontier import (
     Frontier2D,
@@ -81,8 +75,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlternatingSumExact",
-    "AlternatingSumFloat",
     "Comonotone",
     "ConcomitantResult",
     "Dirichlet",
@@ -94,7 +86,6 @@ __all__ = [
     "ExperimentConfig",
     "ExponentialScaleMixture",
     "Frontier2D",
-    "GaussQuadrature",
     "GenericFrontier",
     "IidExponential",
     "InvalidParameterError",
@@ -110,7 +101,6 @@ __all__ = [
     "SurvivalTransformSample",
     "SweepRow",
     "UnsupportedSpecError",
-    "beta_power_moment",
     "check_nuod",
     "check_p2_bound",
     "check_record_order",
@@ -135,8 +125,6 @@ __all__ = [
     "simulate_trajectory",
     "survival",
     "survival_transform",
-    "survival_transform_cdf",
-    "survival_transform_density",
     "sweep",
     "validate",
 ]

@@ -398,6 +398,13 @@ def _check_concomitant(args, seed: int) -> dict:
     }
 
 
+# The gap to the a -> 0 limit is linear in a and the gap to the a -> inf limit
+# linear in 1/a, so a thousandfold step of a toward either limit divides its
+# gap by about 1000 (978-1015 for d 2-8, n 2-1e8); a wrong limit stops it.
+_LIMIT_STEP = 1e3
+_LIMIT_MIN_SHRINK = 500.0
+
+
 def _check_limits(args, seed: int) -> dict:
     if args.family not in ("dir", "pa"):
         raise RecordsError("limits check needs --family dir or pa")
@@ -407,11 +414,19 @@ def _check_limits(args, seed: int) -> dict:
     fn = pn_marginal_dirichlet if args.family == "dir" else pn_scale_mixture
     p_small = fn(n, d, 1e-3)
     p_large = fn(n, d, 1e3)
+    p_smaller = fn(n, d, 1e-3 / _LIMIT_STEP)
+    p_larger = fn(n, d, 1e3 * _LIMIT_STEP)
     p_indep = pn_independent(n, d)
     small_target = 1.0 if args.family == "dir" else 1.0 / n
     gap_small = abs(p_small - small_target)
     gap_large = abs(p_large - p_indep)
-    ok = gap_small <= 2e-2 and gap_large <= 1e-3
+    converges = (
+        abs(p_smaller - small_target) * _LIMIT_MIN_SHRINK <= gap_small
+        and abs(p_larger - p_indep) * _LIMIT_MIN_SHRINK <= gap_large
+    )
+    # The theorem's ranges: dir sweeps [p*_n, 1], pa sweeps [1/n, p*_n].
+    lo, hi = (p_indep, 1.0) if args.family == "dir" else (1.0 / n, p_indep)
+    ok = converges and all(lo <= p <= hi for p in (p_small, p_large, p_smaller, p_larger))
     return {
         "check": "limits",
         "family": args.family,

@@ -22,6 +22,6 @@ class UnsupportedSpecError(RecordsError, TypeError):
 class PrecisionLossError(RecordsError, ArithmeticError):
     """A float evaluation could not reach its accuracy.
 
-    Raised when a float alternating sum cancels catastrophically or when
-    quadrature does not converge; the exact-rational path always succeeds.
+    Raised when the d-term Beta sum cannot be certified and quadrature does
+    not converge either; the exact-rational functions always succeed.
     """

@@ -20,15 +20,14 @@ integral (s = d+a-1 for dir, s = a for pa):
 
     p_n = 1/(s B(a, d)) * sum_{k<d} (-1)^k C(d-1, k) B((a+k)/s, n).
 
-The default route sums these d terms in floats. Their cancellation factor
+The float evaluators sum these d terms. Their cancellation factor
 kappa = sum |t_k| / |sum t_k| comes with them, and kappa times the terms' own
 rounding error bounds the sum's relative error. Where that bound exceeds
-:data:`PN_REL_TOL` (large a, small n) the default falls back to
-Gauss-Laguerre quadrature of the smooth log-domain integrand, which raises
+:data:`PN_REL_TOL` (large a, small n) they fall back to Gauss-Laguerre
+quadrature of the smooth log-domain integrand, which raises
 PrecisionLossError rather than return a value it could not converge to that
-tolerance. The explicit methods keep the n-term routes: exact rationals and
-the guarded float alternating sum (which cancels catastrophically once n
-passes a few dozen), and the quadrature alone.
+tolerance. The ``*_exact`` functions sum the n-term alternating series in
+exact rationals instead.
 
 p*_n = H_n^(d-1)/n is computed in O(d^2) by Newton's identities: H_n^(k) is
 the complete homogeneous symmetric polynomial h_k(1, 1/2, ..., 1/n) of the
@@ -38,23 +37,16 @@ power sums P_i = sum_{j<=n} j^(-i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import betainc, digamma, gammaln, zeta
+from scipy.special import digamma, gammaln, zeta
 
 from .errors import DimensionMismatchError, InvalidParameterError, PrecisionLossError
 from .model import DistributionSpec
 
 __all__ = [
-    "AlternatingSumExact",
-    "AlternatingSumFloat",
-    "EvalMethod",
-    "GaussQuadrature",
-    "beta_power_moment",
     "pn_independent",
     "pn_independent_exact",
     "pn_marginal_dirichlet",
@@ -64,50 +56,10 @@ __all__ = [
     "roman_harmonic",
     "roman_harmonic_direct",
     "survival",
-    "survival_transform_cdf",
-    "survival_transform_density",
 ]
 
-# ---------------------------------------------------------------------------
-# Evaluation-method tags
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AlternatingSumExact:
-    """Exact rational alternating sum (a is taken at its exact binary value)."""
-
-
-@dataclass(frozen=True)
-class AlternatingSumFloat:
-    """Float alternating sum; raises PrecisionLossError on heavy cancellation."""
-
-
-@dataclass(frozen=True)
-class GaussQuadrature:
-    """Gauss-Laguerre quadrature of the log-domain integrand.
-
-    ``nodes`` is the starting rule size; the rule is doubled until two
-    successive evaluations agree to a relative 1e-11. At 4096 nodes (or one
-    doubling past a larger start) it returns if the last two agree to
-    :data:`PN_REL_TOL` and raises PrecisionLossError otherwise, as it does
-    for dir at small a, whose integrand varies below the smallest node.
-    """
-
-    nodes: int = 128
-
-    def __post_init__(self):
-        if not isinstance(self.nodes, int) or self.nodes < 8:
-            raise InvalidParameterError(f"quadrature nodes must be an integer >= 8, got {self.nodes!r}")
-
-
-EvalMethod = Union[AlternatingSumExact, AlternatingSumFloat, GaussQuadrature]
-
-#: Float alternating sums abort when max |partial sum| / |result| exceeds this.
-CANCELLATION_LIMIT = 1e9
-
-#: Relative accuracy of every value the default dir/pa route returns; a value
-#: it cannot certify to this raises PrecisionLossError.
+#: Relative accuracy of every float dir/pa value; a value that cannot be
+#: certified to this raises PrecisionLossError.
 PN_REL_TOL = 1e-9
 # A term t_k of the d-term Beta sum is exp of a sum of logs whose magnitudes
 # add up to m_k, so its relative error is at most (_TERM_ULPS + m_k) ulps; the
@@ -115,7 +67,9 @@ PN_REL_TOL = 1e-9
 # i.e. kappa times the terms' own error.
 _TERM_ULPS = 16
 _EPS = float(np.finfo(float).eps)
-# Quadrature refines until successive rules agree to this, up to _QUAD_MAX_NODES.
+# Quadrature starts at _QUAD_START_NODES and doubles the rule until successive
+# rules agree to _QUAD_REL_TOL, up to _QUAD_MAX_NODES.
+_QUAD_START_NODES = 128
 _QUAD_REL_TOL = 1e-11
 _QUAD_MAX_NODES = 4096
 
@@ -223,26 +177,6 @@ def pn_independent(n: int, d: int) -> float:
     return h[k] / n
 
 
-# ---------------------------------------------------------------------------
-# Beta moments
-# ---------------------------------------------------------------------------
-
-
-def beta_power_moment(a: float, d: float, s: float) -> float:
-    """E[Z^s] for Z ~ Beta(a, d), via log-gamma: exp(lnG(a+s) + lnG(a+d)
-    - lnG(a) - lnG(a+d+s)). Monotone nonincreasing in s; equals 1 at s = 0."""
-    a = float(a)
-    d = float(d)
-    s = float(s)
-    if not (np.isfinite(a) and a > 0.0):
-        raise InvalidParameterError(f"a must be finite and > 0, got {a!r}")
-    if not (np.isfinite(d) and d > 0.0):
-        raise InvalidParameterError(f"d must be finite and > 0, got {d!r}")
-    if not (np.isfinite(s) and s >= 0.0):
-        raise InvalidParameterError(f"s must be finite and >= 0, got {s!r}")
-    return float(np.exp(gammaln(a + s) + gammaln(a + d) - gammaln(a) - gammaln(a + d + s)))
-
-
 def _beta_moment_fraction(a: Fraction, d: int, s: Fraction) -> Fraction:
     # E Z^s for Z ~ Beta(a, d) with integer d: prod_{i<d} (a+i)/(a+s+i).
     out = Fraction(1)
@@ -275,23 +209,6 @@ def _pn_exact(n: int, d: int, a, dir_family: bool) -> Fraction:
     for j in range(n):
         total += sign * math.comb(n - 1, j) * _beta_moment_fraction(a, d, j * s)
         sign = -sign
-    return total
-
-
-def _pn_float_alt(n: int, d: int, a: float, s: float) -> float:
-    total = 0.0
-    peak = 0.0
-    sign = 1.0
-    for j in range(n):
-        moment = 1.0 if j == 0 else math.prod((a + i) / (a + j * s + i) for i in range(d))
-        total += sign * math.comb(n - 1, j) * moment
-        peak = max(peak, abs(total))
-        sign = -sign
-    if peak > CANCELLATION_LIMIT * max(abs(total), np.finfo(float).tiny):
-        raise PrecisionLossError(
-            f"alternating sum cancelled beyond {CANCELLATION_LIMIT:.0e} "
-            f"(n={n}, d={d}, a={a}); use AlternatingSumExact or GaussQuadrature"
-        )
     return total
 
 
@@ -328,16 +245,18 @@ def _gauss_laguerre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _pn_quadrature(n: int, d: int, a: float, s: float, nodes: int) -> float:
+def _pn_quadrature(n: int, d: int, a: float, s: float) -> float:
     # In the log domain (x = e^{-y}) the integrand is analytic:
     #   p = (1/B(a,d)) int_0^inf e^{-a y} (1-e^{-y})^{d-1} (1-e^{-s y})^{n-1} dy,
     # and substituting t = a*y turns the weight into plain e^{-t}. The powers
     # are taken in logs: raising a rounded base to the power n-1 would
-    # multiply its rounding error by n.
+    # multiply its rounding error by n. At _QUAD_MAX_NODES it returns if the
+    # last two rules agree to PN_REL_TOL and raises otherwise, as for dir at
+    # small a, whose integrand varies below the smallest node.
     # ln(a B(a, d)), with B(a, d) = (d-1)! / prod_{i<d} (a+i) exact at any a
     log_norm = math.log(a) + math.lgamma(d) - float(np.log(a + np.arange(d)).sum())
     prev = None
-    m = nodes
+    m = _QUAD_START_NODES
     while True:
         t, w = _gauss_laguerre(m)
         y = t / a
@@ -353,7 +272,7 @@ def _pn_quadrature(n: int, d: int, a: float, s: float, nodes: int) -> float:
                     return cur
                 raise PrecisionLossError(
                     f"quadrature did not converge: {m} and {m // 2} nodes differ by "
-                    f"{gap / cur:.1e} relative (n={n}, d={d}, a={a}); AlternatingSumExact is exact"
+                    f"{gap / cur:.1e} relative (n={n}, d={d}, a={a}); the *_exact functions are exact"
                 )
         prev = cur
         m *= 2
@@ -416,38 +335,30 @@ def _pn_beta_terms(n: int, d: int, a: float, s: float) -> tuple[float, float]:
     return total, err_sum * _EPS / total
 
 
-def _pn_family(n, d, a, dir_family: bool, method: EvalMethod | None) -> float:
+def _pn_family(n, d, a, dir_family: bool) -> float:
     n, d, af = _check_nda(n, d, a)
     if n == 1:
         return 1.0
     s = af + (d - 1) if dir_family else af
-    if method is None:
-        value, bound = _pn_beta_terms(n, d, af, s)
-        if bound <= PN_REL_TOL:
-            return min(value, 1.0)  # p_n <= 1; the rounding may not know it
-        method = GaussQuadrature()
-    if isinstance(method, AlternatingSumExact):
-        return float(_pn_exact(n, d, a, dir_family))
-    if isinstance(method, AlternatingSumFloat):
-        return _pn_float_alt(n, d, af, s)
-    if isinstance(method, GaussQuadrature):
-        return _pn_quadrature(n, d, af, s, method.nodes)
-    raise InvalidParameterError(f"unknown evaluation method: {method!r}")
+    value, bound = _pn_beta_terms(n, d, af, s)
+    if bound <= PN_REL_TOL:
+        return min(value, 1.0)  # p_n <= 1; the rounding may not know it
+    return _pn_quadrature(n, d, af, s)
 
 
-def pn_marginal_dirichlet(n: int, d: int, a, method: EvalMethod | None = None) -> float:
+def pn_marginal_dirichlet(n: int, d: int, a) -> float:
     """Record probability under ``MarginalDirichlet(d, a)``.
 
     Evaluates E(1 - Z^(d+a-1))^(n-1) with Z ~ Beta(a, d). Strictly
     decreasing in a, with limits 1 (a -> 0) and the independent-coordinates
     value (a -> infinity); always >= :func:`pn_independent`.
 
-    ``method=None`` sums the d-term Beta form (see the module docstring)
-    wherever its error bound meets :data:`PN_REL_TOL`, and uses
-    quadrature elsewhere (large a, small n); either way the value is within
-    PN_REL_TOL relative or PrecisionLossError is raised.
+    Sums the d-term Beta form (see the module docstring) wherever its error
+    bound meets :data:`PN_REL_TOL`, and uses quadrature elsewhere (large a,
+    small n); either way the value is within PN_REL_TOL relative or
+    PrecisionLossError is raised.
     """
-    return _pn_family(n, d, a, True, method)
+    return _pn_family(n, d, a, True)
 
 
 def pn_marginal_dirichlet_exact(n: int, d: int, a) -> Fraction:
@@ -460,15 +371,15 @@ def pn_marginal_dirichlet_exact(n: int, d: int, a) -> Fraction:
     return _pn_exact(n, d, a, True) if n > 1 else Fraction(1)
 
 
-def pn_scale_mixture(n: int, d: int, a, method: EvalMethod | None = None) -> float:
+def pn_scale_mixture(n: int, d: int, a) -> float:
     """Record probability under ``ExponentialScaleMixture(d, a)``.
 
     Evaluates E(1 - Z^a)^(n-1) with Z ~ Beta(a, d). Strictly increasing in
     a, with limits 1/n (a -> 0) and the independent-coordinates value
     (a -> infinity); always between 1/n and :func:`pn_independent`.
-    ``method=None`` works as in :func:`pn_marginal_dirichlet`.
+    Evaluated as :func:`pn_marginal_dirichlet` is.
     """
-    return _pn_family(n, d, a, False, method)
+    return _pn_family(n, d, a, False)
 
 
 def pn_scale_mixture_exact(n: int, d: int, a) -> Fraction:
@@ -478,7 +389,7 @@ def pn_scale_mixture_exact(n: int, d: int, a) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Survival functions and the survival transform
+# Survival functions
 # ---------------------------------------------------------------------------
 
 
@@ -499,59 +410,3 @@ def survival(spec: DistributionSpec, x) -> float | np.ndarray:
         )
     out = spec.survival(np.maximum(xv, 0.0))
     return float(out) if scalar else out
-
-
-def survival_transform_density(family: str, a: float, d: int, w):
-    """Density on (0, 1) of the survival value S(X) at a random observation.
-
-    For ``family="dir"`` this is the law of W = Z^(d+a-1), Z ~ Beta(a, d):
-        g(w) = (w^(-1/(d+a-1)) - 1)^(d-1) / ((d+a-1) B(a, d));
-    for ``family="pa"`` the law of W = Z^a:
-        g(w) = (1 - w^(1/a))^(d-1) / (a B(a, d)).
-
-    ``w`` may be a scalar or array with every entry strictly inside (0, 1).
-    """
-    a, d = _check_family_params(family, a, d)
-    wv = np.asarray(w, dtype=np.float64)
-    if wv.size == 0 or np.any(wv <= 0.0) or np.any(wv >= 1.0):
-        raise InvalidParameterError("w must lie strictly inside (0, 1)")
-    log_beta = gammaln(a) + gammaln(d) - gammaln(a + d)
-    if family == "dir":
-        expo = d + a - 1.0
-        out = (wv ** (-1.0 / expo) - 1.0) ** (d - 1) / (expo * math.exp(log_beta))
-    else:
-        out = (1.0 - wv ** (1.0 / a)) ** (d - 1) / (a * math.exp(log_beta))
-    return float(out) if np.isscalar(w) or np.ndim(w) == 0 else out
-
-
-def survival_transform_cdf(family: str, a: float, d: int, w):
-    """CDF companion of :func:`survival_transform_density`.
-
-    Also accepts ``family="iid"`` (a ignored), where the survival value is
-    exp(-G) with G ~ Gamma(d), handy as a KS-test reference.
-    """
-    wv = np.clip(np.asarray(w, dtype=np.float64), 0.0, 1.0)
-    if family == "iid":
-        if not isinstance(d, (int, np.integer)) or d < 1:
-            raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
-        from scipy.special import gammaincc
-
-        with np.errstate(divide="ignore"):
-            out = np.where(wv <= 0.0, 0.0, np.where(wv >= 1.0, 1.0, gammaincc(d, -np.log(wv))))
-    else:
-        a, d = _check_family_params(family, a, d)
-        root = 1.0 / (d + a - 1.0) if family == "dir" else 1.0 / a
-        out = betainc(a, d, wv**root)
-    return float(out) if np.isscalar(w) or np.ndim(w) == 0 else out
-
-
-def _check_family_params(family: str, a, d) -> tuple[float, int]:
-    if family not in ("dir", "pa"):
-        raise InvalidParameterError(f'family must be "dir" or "pa", got {family!r}')
-    a = float(a)
-    if not np.isfinite(a) or a <= 0.0:
-        raise InvalidParameterError(f"a must be finite and > 0, got {a!r}")
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidParameterError(f"d must be an integer >= 2, got {d!r}")
-    return a, int(d)
-

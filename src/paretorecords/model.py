@@ -17,8 +17,8 @@ sampling families handled by the package:
 
 Each family is a frozen dataclass under :class:`DistributionSpec` and is the
 one home of what depends on the family: its JSON tag and encoding, its batch
-sampler, its closed-form survival function (if any) and the limit of its
-record probability.
+sampler, its closed-form survival function and the law of the survival
+value S(X) (where known), and the limit of its record probability.
 
 All spec types validate their parameters on construction; ``validate``
 re-checks an existing instance (useful after deserialization).
@@ -40,6 +40,7 @@ import json
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.special import betainc, gammaincc
 
 from .errors import InvalidParameterError, RecordsError, UnsupportedSpecError
 
@@ -87,7 +88,7 @@ class DistributionSpec:
     of the record probability as the stream grows, which is the probability
     mass of the region where the survival function vanishes (0 by default:
     the survival is positive everywhere). It implements ``sample``, and
-    ``survival`` where a closed form exists.
+    ``survival`` and ``survival_value_cdf`` where closed forms exist.
     """
 
     family: str
@@ -106,6 +107,13 @@ class DistributionSpec:
         """P(X >= x) at the points of a (..., dim) array clamped to >= 0;
         callers check and clamp through ``exact.survival``."""
         raise UnsupportedSpecError(f"no closed-form survival for {type(self).__name__}")
+
+    def survival_value_cdf(self, w):
+        """CDF G(w) = P(S(X) <= w) of the survival value at a random
+        observation, at w in [0, 1] (scalar or array; values outside are
+        clipped). Every record probability follows from it:
+        p_n = E(1 - S(X))^(n-1) = (n-1) int_0^1 (1-w)^(n-2) G(w) dw."""
+        raise UnsupportedSpecError(f"no closed-form law of S(X) for {type(self).__name__}")
 
     def to_json(self) -> dict:
         """Plain JSON-compatible dict: the tag, then the fields in order."""
@@ -143,6 +151,12 @@ class IidExponential(DistributionSpec):
         """exp(-||x||_1)."""
         return np.exp(-pos.sum(axis=-1))
 
+    def survival_value_cdf(self, w):
+        """S(X) = exp(-T) with T ~ Gamma(d): G(w) = Q(d, -ln w), the
+        regularized upper incomplete gamma function."""
+        with np.errstate(divide="ignore"):
+            return gammaincc(self.d, -np.log(np.clip(w, 0.0, 1.0)))
+
 
 @dataclass(frozen=True)
 class MarginalDirichlet(DistributionSpec):
@@ -174,6 +188,10 @@ class MarginalDirichlet(DistributionSpec):
         slack = np.maximum(1.0 - pos.sum(axis=-1), 0.0)
         return slack ** (self.d + self.a - 1.0)
 
+    def survival_value_cdf(self, w):
+        """S(X) = Z^(d+a-1) with Z ~ Beta(a, d): G(w) = I_{w^(1/(d+a-1))}(a, d)."""
+        return betainc(self.a, self.d, np.clip(w, 0.0, 1.0) ** (1.0 / (self.d + self.a - 1.0)))
+
 
 @dataclass(frozen=True)
 class ExponentialScaleMixture(DistributionSpec):
@@ -198,6 +216,10 @@ class ExponentialScaleMixture(DistributionSpec):
     def survival(self, pos):
         """(1 + ||x||_1)^(-a)."""
         return (1.0 + pos.sum(axis=-1)) ** -self.a
+
+    def survival_value_cdf(self, w):
+        """S(X) = Z^a with Z ~ Beta(a, d): G(w) = I_{w^(1/a)}(a, d)."""
+        return betainc(self.a, self.d, np.clip(w, 0.0, 1.0) ** (1.0 / self.a))
 
 
 @dataclass(frozen=True)
@@ -226,9 +248,14 @@ class Dirichlet(DistributionSpec):
         return len(self.b)
 
     def sample(self, m, rng):
-        """m*k gammas (parameter-major), normalized per row."""
+        """m*k Gamma(b+1) draws, then m*k uniforms U in (0, 1], both
+        parameter-major. log G = log G_(b+1) + log(U)/b is a Gamma(b) draw
+        (Marsaglia & Tsang, ACM TOMS 2000) taken in logs, so no row of tiny
+        b underflows to 0/0; each row is scaled by its largest entry, then
+        normalized."""
         b = np.asarray(self.b)
-        g = rng.gamma(b, size=(m, b.size))
+        log_g = np.log(rng.gamma(b + 1.0, size=(m, b.size))) + np.log1p(-rng.random((m, b.size))) / b
+        g = np.exp(log_g - log_g.max(axis=1, keepdims=True))
         return g / g.sum(axis=1, keepdims=True)
 
 

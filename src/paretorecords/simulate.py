@@ -262,7 +262,7 @@ def _stream_counts(block: np.ndarray) -> np.ndarray:
 
 
 def _tile_counts(block: np.ndarray) -> np.ndarray:
-    """(r_n, R_n, final) from all-pairs dominance tiles, any d; rows NaN-free.
+    """(r_n, R_n, final) from all-pairs dominance tiles, any d.
 
     ``dom[j, i, k]`` says point i weakly dominates point j in replicate k;
     the replicate axis is innermost, so every comparison and reduction runs
@@ -348,23 +348,15 @@ def _prefilter_counts(block: np.ndarray) -> np.ndarray:
 def _fold_streams(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Final maxima count r_n, record count R_n and last-step record flag per replicate.
 
-    ``block`` is (m, n, d), one stream per row. The counts equal those of
-    folding each stream through ``make_frontier(d)``: all-pairs tiles for
-    short streams, a frontier prefilter for long ones, and the streaming
-    fold itself for rows holding a NaN, where ``Frontier2D``'s bisection
-    has no total order to rely on.
+    ``block`` is (m, n, d), one stream per row, free of NaN as every
+    family's sampler makes it. The counts equal those of folding each stream
+    through ``make_frontier(d)``: all-pairs tiles for short streams, a
+    frontier prefilter for long ones.
     """
-    m, n, d = block.shape
+    _, n, d = block.shape
     kernel = _tile_counts if n <= (_TILE_MAX_N_PLANAR if d == 2 else _TILE_MAX_N) else _prefilter_counts
-    nan = np.isnan(block).any(axis=(1, 2))
-    if not nan.any():
-        out = kernel(block)
-    else:
-        out = np.empty((3, m), dtype=np.int64)
-        out[:, nan] = _stream_counts(block[nan])
-        if not nan.all():
-            out[:, ~nan] = kernel(block[~nan])
-    return out[0], out[1], out[2]
+    r, big_r, final = kernel(block)
+    return r, big_r, final
 
 
 def estimate_maxima(config: ExperimentConfig, *, _stream_base: int = 0) -> MaximaEstimates:

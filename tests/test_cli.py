@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from paretorecords import pn_scale_mixture
+from paretorecords import cli, pn_scale_mixture
 from paretorecords.cli import (
     EXIT_OK,
     EXIT_PARAMETER,
@@ -292,6 +292,31 @@ class TestCheckCommand:
             "--out", "json",
         )
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "family, d, n", [("dir", 5, 16), ("dir", 8, 3777), ("pa", 6, 3777), ("pa", 5, 16)]
+    )
+    def test_limits_pass_at_larger_d(self, capsys, family, d, n):
+        # Correct values whose gaps at a = 1e-3 or 1e3 are wider than any fixed bound.
+        code, out, _ = run_cli(
+            capsys, "check", "--check", "limits", "--family", family, "--d", str(d), "--n", str(n),
+            "--out", "json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("family", ["dir", "pa"])
+    def test_limits_wrong_large_a_limit_is_a_violation(self, capsys, monkeypatch, family):
+        # An evaluator whose a -> inf limit sits 1e-5 above p*_n: its gap stops shrinking.
+        name = "pn_marginal_dirichlet" if family == "dir" else "pn_scale_mixture"
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda n, d, a: real(n, d, a) + 1e-5 * a / (1.0 + a))
+        code, out, _ = run_cli(
+            capsys, "check", "--check", "limits", "--family", family, "--d", "3", "--n", "20",
+            "--out", "json",
+        )
+        assert code == EXIT_VIOLATION
+        assert json.loads(out)["verdict"] == "violation"
 
     def test_p2_pass_with_margin(self, capsys):
         code, out, _ = run_cli(

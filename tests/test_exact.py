@@ -11,20 +11,16 @@ from scipy.integrate import quad
 
 import paretorecords.exact as exact_mod
 from paretorecords import (
-    AlternatingSumExact,
-    AlternatingSumFloat,
     Comonotone,
     Dirichlet,
     DimensionMismatchError,
     ExponentialScaleMixture,
-    GaussQuadrature,
     IidExponential,
     InvalidParameterError,
     MarginalDirichlet,
     Mixture,
     PrecisionLossError,
     UnsupportedSpecError,
-    beta_power_moment,
     pn_independent,
     pn_independent_exact,
     pn_marginal_dirichlet,
@@ -34,9 +30,8 @@ from paretorecords import (
     roman_harmonic,
     roman_harmonic_direct,
     survival,
-    survival_transform_cdf,
-    survival_transform_density,
 )
+from paretorecords.model import FAMILIES as FAMILY_CLASSES
 
 A_GRID = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0]
 #: Relative tolerance of the float p*_n against exact rationals.
@@ -161,28 +156,15 @@ class TestIndependentCoordinates:
             assert abs(pn_independent(n, d) - val) < 1e-9
 
 
-class TestBetaPowerMoment:
-    def test_zeroth_moment(self):
-        assert beta_power_moment(2.3, 4.5, 0.0) == pytest.approx(1.0, abs=1e-14)
+FAMILY_ROUTES = [
+    (pn_marginal_dirichlet, pn_marginal_dirichlet_exact, True),
+    (pn_scale_mixture, pn_scale_mixture_exact, False),
+]
 
-    def test_low_moments_against_quadrature(self):
-        # Beta(1,2) has density 2(1-z); its first two moments come out of
-        # direct numeric integration.
-        m1, _ = quad(lambda z: z * 2 * (1 - z), 0, 1)
-        m2, _ = quad(lambda z: z**2 * 2 * (1 - z), 0, 1)
-        assert beta_power_moment(1, 2, 1) == pytest.approx(m1, abs=1e-12)  # 1/3
-        assert beta_power_moment(1, 2, 2) == pytest.approx(m2, abs=1e-12)  # 1/6
 
-    def test_monotone_in_s(self):
-        s = np.linspace(0, 20, 81)
-        vals = [beta_power_moment(0.7, 3, v) for v in s]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            beta_power_moment(0.0, 1.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            beta_power_moment(1.0, 1.0, -0.5)
+def _quadrature(n, d, a, dir_family):
+    """p_n by quadrature alone, the fallback of the float route."""
+    return exact_mod._pn_quadrature(n, d, a, a + d - 1 if dir_family else a)
 
 
 class TestFamilyProbabilities:
@@ -198,9 +180,8 @@ class TestFamilyProbabilities:
         assert pn_scale_mixture_exact(2, 2, 1) == Fraction(2, 3)
 
     def test_n1_trivial(self):
-        for method in (None, AlternatingSumExact(), AlternatingSumFloat(), GaussQuadrature()):
-            assert pn_marginal_dirichlet(1, 2, 0.5, method) == 1.0
-            assert pn_scale_mixture(1, 2, 0.5, method) == 1.0
+        assert pn_marginal_dirichlet(1, 2, 0.5) == 1.0
+        assert pn_scale_mixture(1, 2, 0.5) == 1.0
 
     def test_sandwich(self):
         for n in range(2, 11):
@@ -229,34 +210,26 @@ class TestFamilyProbabilities:
     def test_pa_small_a_limit_probe(self):
         assert abs(pn_scale_mixture(4, 3, 1e-3) - 0.25) <= 2e-2
 
-    def test_float_path_raises_on_cancellation(self):
-        with pytest.raises(PrecisionLossError):
-            pn_marginal_dirichlet(80, 2, 1.0, AlternatingSumFloat())
-
     def test_cross_method_agreement(self):
-        # Float sum, exact rationals and quadrature must agree to 1e-9
-        # wherever the float path does not raise.
-        for family in (pn_marginal_dirichlet, pn_scale_mixture):
+        # The float route and quadrature alone must agree with the exact
+        # rationals to 1e-9.
+        for fn, exact_fn, dir_family in FAMILY_ROUTES:
             for n in (2, 5, 10, 20, 30):
                 for d in (2, 3, 5):
                     for a in (0.1, 1.0, 10.0, 1000.0):
-                        exact = family(n, d, a, AlternatingSumExact())
-                        alt = family(n, d, a, AlternatingSumFloat())
-                        gauss = family(n, d, a, GaussQuadrature())
-                        assert abs(alt - exact) < 1e-9, (family, n, d, a)
-                        assert abs(gauss - exact) < 1e-9, (family, n, d, a)
+                        exact = float(exact_fn(n, d, a))
+                        assert abs(fn(n, d, a) - exact) < 1e-9, (fn.__name__, n, d, a)
+                        assert abs(_quadrature(n, d, a, dir_family) - exact) < 1e-9, (fn.__name__, n, d, a)
 
     def test_quadrature_agrees_with_exact_beyond_float_range(self):
-        for family, exact_fn in (
-            (pn_marginal_dirichlet, pn_marginal_dirichlet_exact),
-            (pn_scale_mixture, pn_scale_mixture_exact),
-        ):
+        for fn, exact_fn, dir_family in FAMILY_ROUTES:
             for a in (0.1, 1.0, 100.0):
                 exact = float(exact_fn(50, 3, a))
-                assert abs(family(50, 3, a, GaussQuadrature()) - exact) < 1e-9
+                assert abs(fn(50, 3, a) - exact) < 1e-9
+                assert abs(_quadrature(50, 3, a, dir_family) - exact) < 1e-9
 
     def test_default_method_dispatch(self):
-        # n > 30 must not go through the cancelling float sum.
+        # At n = 80 the n-term alternating sum cancels far beyond float range.
         val = pn_marginal_dirichlet(80, 2, 1.0)
         exact = float(pn_marginal_dirichlet_exact(80, 2, 1))
         assert abs(val - exact) < 1e-9
@@ -266,8 +239,6 @@ class TestFamilyProbabilities:
             pn_marginal_dirichlet(2, 1, 1.0)
         with pytest.raises(InvalidParameterError):
             pn_scale_mixture(2, 2, 0.0)
-        with pytest.raises(InvalidParameterError):
-            GaussQuadrature(nodes=4)
 
 
 def _dterm_oracle(n, d, a, dir_family, dps=40):
@@ -379,9 +350,9 @@ class TestDefaultRoute:
 
     def test_quadrature_raises_when_unconverged(self):
         # dir at a = 1e-3 puts the integrand's feature below the smallest
-        # node; the explicit quadrature must raise, not return its guess.
+        # node; quadrature must raise, not return its guess.
         with pytest.raises(PrecisionLossError):
-            pn_marginal_dirichlet(100, 3, 1e-3, GaussQuadrature())
+            _quadrature(100, 3, 1e-3, True)
 
     def test_strictly_monotone_across_the_switch(self):
         # n = 30 sweeps in a cross the d-term / quadrature switch (a ~ 22-44 here).
@@ -485,57 +456,83 @@ class TestSurvival:
             survival(IidExponential(2), [1.0, 2.0, 3.0])
 
 
+def _survival_value_density(spec, w):
+    """g = G' of the survival value, from its formula: W = Z^s with Z ~ Beta(a, d)."""
+    a, d = spec.a, spec.d
+    s = d + a - 1.0 if isinstance(spec, MarginalDirichlet) else a
+    return (1.0 - w ** (1.0 / s)) ** (d - 1) * w ** (a / s - 1.0) / (s * math.exp(math.lgamma(a) + math.lgamma(d) - math.lgamma(a + d)))
+
+
 class TestSurvivalTransformDensity:
+    """The law of the survival value S(X): each family's ``survival_value_cdf``,
+    against its density, scipy's Beta law and the record probabilities."""
+
     def test_dir_value_at_quarter(self):
-        # a=1, d=2: normalizer (d+a-1) B(a,d) = 1, so g(1/4) = (1/sqrt(1/4) - 1) = 1.
-        assert survival_transform_density("dir", 1.0, 2, 0.25) == pytest.approx(1.0)
+        # a = 1, d = 2: S(X) = Z^2 with Z ~ Beta(1, 2), so G(1/4) = P(Z <= 1/2) = 3/4.
+        assert MarginalDirichlet(2, 1.0).survival_value_cdf(0.25) == pytest.approx(0.75)
 
     def test_dir_value_against_change_of_variable_oracle(self):
-        # W = Z^(d+a-1) with Z ~ Beta(a, d): g(w) = f_Z(w^(1/s)) * w^(1/s - 1) / s.
+        # W = Z^s with Z ~ Beta(a, d): G(w) = F_Z(w^(1/s)).
         from scipy.stats import beta as beta_dist
 
-        a, d, s = 2.0, 3, 2.0 + 3 - 1
-        for w in (0.05, 0.3, 0.7, 0.95):
-            z = w ** (1.0 / s)
-            oracle = beta_dist(a, d).pdf(z) * z ** (1.0 - s) / s
-            assert survival_transform_density("dir", a, d, w) == pytest.approx(oracle, rel=1e-10)
+        a, d = 2.0, 3
+        for spec, s in ((MarginalDirichlet(d, a), a + d - 1), (ExponentialScaleMixture(d, a), a)):
+            for w in (0.05, 0.3, 0.7, 0.95):
+                oracle = beta_dist(a, d).cdf(w ** (1.0 / s))
+                assert spec.survival_value_cdf(w) == pytest.approx(oracle, rel=1e-10)
 
     def test_pa_vanishes_at_one(self):
-        assert survival_transform_density("pa", 1.0, 2, 1.0 - 1e-12) < 1e-9
+        # The density vanishes at w = 1, so G rises less than linearly into 1.
+        h = 1e-6
+        assert (1.0 - ExponentialScaleMixture(2, 1.0).survival_value_cdf(1.0 - h)) / h < 1e-5
 
     @pytest.mark.parametrize("family", ["dir", "pa"])
     @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
     def test_normalization(self, family, a):
-        val, err = quad(
-            lambda w: survival_transform_density(family, a, 3, w), 0, 1, limit=200
-        )
-        assert abs(val - 1.0) < 1e-8
+        spec = FAMILY_CLASSES[family](3, a)
+        assert spec.survival_value_cdf(0.0) == 0.0
+        assert spec.survival_value_cdf(1.0) == 1.0
 
     @pytest.mark.parametrize("family,sign", [("dir", 1.0), ("pa", -1.0)])
-    def test_likelihood_ratio_monotone(self, family, sign):
-        # Density ratio g_b / g_a must be monotone on (0,1): nondecreasing for
-        # the Dirichlet family, nonincreasing for the scale mixture.
-        w = np.linspace(1e-6, 1.0 - 1e-6, 1000)
+    def test_stochastic_order_in_a(self, family, sign):
+        # For b > a, G_b <= G_a for dir (S(X) grows with a) and G_b >= G_a for pa.
+        w = np.linspace(0.0, 1.0, 1001)
         for a, b in [(0.5, 1.0), (1.0, 2.0), (2.0, 5.0)]:
-            ratio = survival_transform_density(family, b, 2, w) / survival_transform_density(
-                family, a, 2, w
-            )
-            diffs = sign * np.diff(ratio)
-            assert np.all(diffs > -1e-12), (family, a, b)
+            for d in (2, 4):
+                g_a = FAMILY_CLASSES[family](d, a).survival_value_cdf(w)
+                g_b = FAMILY_CLASSES[family](d, b).survival_value_cdf(w)
+                assert np.all(sign * (g_a - g_b) >= -1e-15), (family, a, b, d)
+                assert np.any(sign * (g_a - g_b) > 0), (family, a, b, d)
 
     def test_cdf_consistent_with_density(self):
-        for family in ("dir", "pa"):
+        for spec in (MarginalDirichlet(2, 1.5), ExponentialScaleMixture(2, 1.5)):
             for w in (0.2, 0.6):
-                num, _ = quad(lambda t: survival_transform_density(family, 1.5, 2, t), 0, w)
-                assert survival_transform_cdf(family, 1.5, 2, w) == pytest.approx(num, abs=1e-9)
+                num, _ = quad(lambda t: _survival_value_density(spec, t), 0, w)
+                assert spec.survival_value_cdf(w) == pytest.approx(num, abs=1e-9)
 
-    def test_rejects_boundary(self):
-        with pytest.raises(InvalidParameterError):
-            survival_transform_density("dir", 1.0, 2, 0.0)
-        with pytest.raises(InvalidParameterError):
-            survival_transform_density("pa", 1.0, 2, 1.0)
-        with pytest.raises(InvalidParameterError):
-            survival_transform_density("nope", 1.0, 2, 0.5)
+    def test_record_prob_identity(self):
+        # p_n = E(1 - W)^(n-1) = (n-1) int_0^1 (1-w)^(n-2) G(w) dw.
+        for n in range(2, 11):
+            for d in (2, 3):
+                cases = [(IidExponential(d), pn_independent_exact(n, d))]
+                for a in (0.5, 2.0):
+                    cases.append((MarginalDirichlet(d, a), pn_marginal_dirichlet_exact(n, d, a)))
+                    cases.append((ExponentialScaleMixture(d, a), pn_scale_mixture_exact(n, d, a)))
+                for spec, exact in cases:
+                    val, _ = quad(
+                        lambda w: (n - 1) * (1.0 - w) ** (n - 2) * spec.survival_value_cdf(w),
+                        0, 1, epsabs=1e-13, epsrel=1e-11, limit=200,
+                    )
+                    assert val == pytest.approx(float(exact), rel=1e-9), (spec, n)
+
+    def test_unsupported_families_raise(self):
+        for spec in (
+            Dirichlet((1.0, 1.0)),
+            Comonotone(2),
+            Mixture(0.5, IidExponential(2), IidExponential(2)),
+        ):
+            with pytest.raises(UnsupportedSpecError):
+                spec.survival_value_cdf(0.5)
 
 
 class TestRecordProbLimit:

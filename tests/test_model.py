@@ -107,7 +107,10 @@ def _scale_mixture(rng, m, d, a):
 
 
 def _dirichlet(rng, m, b):
-    g = rng.gamma(np.array(b), size=(m, len(b)))
+    # Gamma(b) = Gamma(b+1) * U^(1/b), in logs: the Gamma(b+1) block, then the uniform block.
+    b = np.array(b)
+    log_g = np.log(rng.gamma(b + 1.0, size=(m, b.size))) + np.log1p(-rng.random((m, b.size))) / b
+    g = np.exp(log_g - log_g.max(axis=1, keepdims=True))
     return g / g.sum(axis=1, keepdims=True)
 
 

@@ -24,7 +24,6 @@ from paretorecords import (
     run_stream,
     sample_observations,
     survival_transform,
-    survival_transform_cdf,
 )
 from paretorecords import ordering
 from paretorecords.ordering import _onesided_gaps, dominance_threshold
@@ -44,19 +43,22 @@ class TestSurvivalTransform:
 
     @pytest.mark.parametrize("a,d", [(0.5, 2), (1.0, 2), (2.0, 3)])
     def test_marginal_dirichlet_matches_power_beta_law(self, a, d):
-        sample = survival_transform(MarginalDirichlet(d, a), 100_000, make_rng(2))
-        p = kstest(sample.values, lambda w: survival_transform_cdf("dir", a, d, w)).pvalue
+        spec = MarginalDirichlet(d, a)
+        sample = survival_transform(spec, 100_000, make_rng(2))
+        p = kstest(sample.values, spec.survival_value_cdf).pvalue
         assert p > 0.01
 
     @pytest.mark.parametrize("a,d", [(0.5, 2), (1.0, 2), (2.0, 3)])
     def test_scale_mixture_matches_power_beta_law(self, a, d):
-        sample = survival_transform(ExponentialScaleMixture(d, a), 100_000, make_rng(3))
-        p = kstest(sample.values, lambda w: survival_transform_cdf("pa", a, d, w)).pvalue
+        spec = ExponentialScaleMixture(d, a)
+        sample = survival_transform(spec, 100_000, make_rng(3))
+        p = kstest(sample.values, spec.survival_value_cdf).pvalue
         assert p > 0.01
 
     def test_iid_multivariate_matches_gamma_law(self):
-        sample = survival_transform(IidExponential(3), 100_000, make_rng(4))
-        p = kstest(sample.values, lambda w: survival_transform_cdf("iid", 1.0, 3, w)).pvalue
+        spec = IidExponential(3)
+        sample = survival_transform(spec, 100_000, make_rng(4))
+        p = kstest(sample.values, spec.survival_value_cdf).pvalue
         assert p > 0.01
 
     @pytest.mark.parametrize(

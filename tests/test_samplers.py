@@ -103,6 +103,29 @@ class TestKernels:
             se = sample.std() / math.sqrt(n)
             assert abs(sample.mean() - 0.25) < 4.0 * se
 
+    def test_dirichlet_small_shape_marginal(self):
+        # The first coordinate of Dirichlet(b_1, b_2) is Beta(b_1, b_2).
+        x = sample_observations(Dirichlet((0.05, 0.3)), 10**5, make_rng(8))[:, 0]
+        assert kstest(x, beta(0.05, 0.3).cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Dirichlet((1e-3, 1e-3)),
+            Dirichlet((1e-8, 1e-8, 1e-8)),
+            Mixture(0.5, Dirichlet((1e-3, 1e-3)), MarginalDirichlet(2, 1e-3)),
+        ],
+    )
+    def test_tiny_shapes_give_no_nan(self, spec):
+        # Every Gamma draw of such a row underflows to 0 in linear space.
+        n = 10**5
+        x = sample_observations(spec, n, make_rng(9))
+        assert not np.isnan(x).any()
+        if isinstance(spec, Dirichlet):
+            assert np.max(np.abs(x.sum(axis=1) - 1.0)) < 1e-12
+            se = x[:, 0].std() / math.sqrt(n)
+            assert abs(x[:, 0].mean() - 1.0 / spec.dim) < 4.0 * se
+
     @pytest.mark.parametrize("b", [(1.0,), (1.0, 0.0), ()])
     def test_dirichlet_invalid(self, b):
         with pytest.raises(InvalidParameterError):
