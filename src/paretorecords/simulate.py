@@ -13,6 +13,8 @@ Estimators
 ----------
 * :func:`estimate_record_prob` -- indicator estimator: the fraction of
   replicates whose n-th observation is a record (binomial standard error).
+  The dominance mask of a chunk is built one coordinate at a time, so it
+  takes chunk x (n - 1) booleans and no chunk x n x d temporary.
 * :func:`estimate_record_prob_survival` -- averages (1 - S(X))^(n-1) using
   the closed-form survival S; unbiased for the same quantity with strictly
   smaller variance on the same draw count (conditioning estimator).
@@ -188,9 +190,12 @@ def estimate_record_prob(config: ExperimentConfig, *, _stream_base: int = 0) -> 
             return m
         rng = make_rng(config.seed, _stream_base + stream)
         block = sample_observations(spec, m * n, rng).reshape(m, n, d)
-        last = block[:, n - 1, :]
-        dominated = np.all(block[:, : n - 1, :] >= last[:, None, :], axis=2).any(axis=1)
-        return int(m - dominated.sum())
+        prev, last = block[:, : n - 1], block[:, n - 1 :]
+        # dom[k, i]: point i weakly dominates the last point of replicate k.
+        dom = prev[:, :, 0] >= last[:, :, 0]
+        for q in range(1, d):
+            dom &= prev[:, :, q] >= last[:, :, q]
+        return int(m - dom.any(axis=1).sum())
 
     hits = sum(_run_chunks(job, _chunk_jobs(reps, rows), config.workers))
     p = hits / reps

@@ -21,6 +21,7 @@ from paretorecords import (
     pn_marginal_dirichlet,
     pn_independent,
     pn_scale_mixture,
+    records_bruteforce,
     run_stream,
     sample_observations,
     survival_transform,
@@ -206,11 +207,45 @@ class TestNuod:
         spec = MarginalDirichlet(3, 1.0)
         probes = default_probe_grid(spec, make_rng(16))
         whole = check_nuod(spec, probes, 5000, make_rng(17))
-        monkeypatch.setattr(ordering, "_NUOD_BLOCK", 3 * probes.size + 1)  # 3 rows a block
+        monkeypatch.setattr(ordering, "_NUOD_BLOCK", 3 * len(probes))  # 3 cells a block
         blocked = check_nuod(spec, probes, 5000, make_rng(17))
+        # Samples with distinct exceedance patterns lie in distinct cells.
+        x = sample_observations(spec, 5000, make_rng(17))
+        assert len(np.unique(x[:, None, :] > probes, axis=0)) > 3 * 4  # several blocks
         assert np.array_equal(blocked.joint, whole.joint)
         assert np.array_equal(blocked.product, whole.product)
         assert np.array_equal(blocked.margin_sigma, whole.margin_sigma)
+
+    @pytest.mark.parametrize("cells_per_block", [None, 1, 7])
+    @pytest.mark.parametrize(
+        "spec",
+        [IidExponential(1), Comonotone(1), IidExponential(5), MarginalDirichlet(5, 1.0),
+         Comonotone(5), Dirichlet((1e-3,) * 5)],
+        ids=repr,
+    )
+    def test_counts_match_brute_force(self, spec, cells_per_block, monkeypatch):
+        # Exact counts against comparing every sample with every probe, on
+        # probes off the samples and on probes that equal sample values and
+        # repeat within a column (Comonotone ties coordinates, and the tiny-b
+        # Dirichlet has many coordinates of exactly 0 and 1).
+        samples = 3000
+        x = sample_observations(spec, samples, make_rng(21))
+        rng = np.random.default_rng(22)
+        d = spec.dim
+        on = x[rng.integers(0, samples, size=(30, d)), np.arange(d)]
+        on[::4, 0] = on[0, 0]
+        probe_sets = {
+            "off grid": rng.exponential(size=(37, d)) * x.mean(axis=0),
+            "on samples": np.vstack([on, x[:5], np.zeros((1, d)), np.ones((1, d))]),
+        }
+        for name, probes in probe_sets.items():
+            exceed = x[:, None, :] > probes
+            if cells_per_block is not None:
+                monkeypatch.setattr(ordering, "_NUOD_BLOCK", cells_per_block * len(probes))
+                assert len(np.unique(exceed, axis=0)) > 2 * cells_per_block, name
+            result = check_nuod(spec, probes, samples, make_rng(21))
+            assert np.array_equal(result.joint, exceed.all(axis=2).sum(axis=0) / samples), name
+            assert np.array_equal(result.product, (exceed.sum(axis=0) / samples).prod(axis=1)), name
 
 
 class TestP2Bound:
@@ -242,6 +277,22 @@ class TestP2Bound:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             check_p2_bound(IidExponential(1), 100, make_rng(0))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_record_flag_matches_bruteforce_with_ties(self, d, monkeypatch):
+        # Pairs on a {0, 1} lattice tie coordinates and repeat points, where
+        # weak dominance (<=) decides; the draws are replaced by the pairs.
+        pairs = np.random.default_rng(40 + d).integers(0, 2, size=(120, 2, d)).astype(float)
+        flags = [bool(records_bruteforce(pair)[0][-1]) for pair in pairs]
+        assert 0 < sum(flags) < len(flags)
+        for pair, flag in zip(pairs, flags):
+            draws = iter([pair[[0, 0]], pair[[1, 1]]])  # the same pair twice
+            monkeypatch.setattr(ordering, "sample_observations", lambda *_: next(draws))
+            assert check_p2_bound(IidExponential(d), 2, make_rng(0)).estimate == float(flag)
+        draws = iter([pairs[:, 0], pairs[:, 1]])
+        monkeypatch.setattr(ordering, "sample_observations", lambda *_: next(draws))
+        result = check_p2_bound(IidExponential(d), len(pairs), make_rng(0))
+        assert result.estimate == sum(flags) / len(flags)
 
 
 class TestMonotoneTransformInvariance:

@@ -132,6 +132,66 @@ class TestKernels:
             Dirichlet(b)
 
 
+# The documented formula of each family's sampler, evaluated out of place on
+# the same draws in the same order.
+def _marginal_dirichlet_formula(rng, m, d, a):
+    e = rng.exponential(size=(m, d))
+    g = rng.gamma(a, size=(m, 1))
+    return e / (e.sum(axis=1, keepdims=True) + g)
+
+
+def _scale_mixture_formula(rng, m, d, a):
+    e = rng.exponential(size=(m, d))
+    return e / rng.gamma(a, size=(m, 1))
+
+
+def _dirichlet_formula(rng, m, b):
+    b = np.asarray(b)
+    log_g = np.log(rng.gamma(b + 1.0, size=(m, b.size))) + np.log1p(-rng.random((m, b.size))) / b
+    g = np.exp(log_g - log_g.max(axis=1, keepdims=True))
+    return g / g.sum(axis=1, keepdims=True)
+
+
+class TestSamplerFormulas:
+    # The samplers work in place on the drawn arrays; the values must equal
+    # the formulas bit for bit. Rows of 9 terms pass numpy's 8-term unrolled
+    # pairwise sum.
+    M = 3001
+
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    def test_marginal_dirichlet(self, d):
+        got = sample_observations(MarginalDirichlet(d, 0.7), self.M, make_rng(31, d))
+        assert np.array_equal(got, _marginal_dirichlet_formula(make_rng(31, d), self.M, d, 0.7))
+
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    def test_scale_mixture(self, d):
+        got = sample_observations(ExponentialScaleMixture(d, 1.3), self.M, make_rng(32, d))
+        assert np.array_equal(got, _scale_mixture_formula(make_rng(32, d), self.M, d, 1.3))
+
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_dirichlet(self, d, tiny):
+        b = (1e-3,) * d if tiny else tuple(0.3 + 0.5 * j for j in range(d))
+        got = sample_observations(Dirichlet(b), self.M, make_rng(33, d))
+        assert np.array_equal(got, _dirichlet_formula(make_rng(33, d), self.M, b))
+
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    def test_mixture_fills_rows(self, d):
+        inner_spec = Mixture(0.5, ExponentialScaleMixture(d, 0.5), Dirichlet((0.2,) * d))
+        spec = Mixture(0.4, MarginalDirichlet(d, 2.0), inner_spec)
+        got = sample_observations(spec, self.M, make_rng(34, d))
+        rng = make_rng(34, d)
+        want = np.empty((self.M, d))
+        pick = rng.random(self.M) < 0.4
+        want[~pick] = _marginal_dirichlet_formula(rng, int((~pick).sum()), d, 2.0)
+        inner = rng.random(int(pick.sum())) < 0.5
+        rows = np.empty((inner.size, d))
+        rows[~inner] = _scale_mixture_formula(rng, int((~inner).sum()), d, 0.5)
+        rows[inner] = _dirichlet_formula(rng, int(inner.sum()), (0.2,) * d)
+        want[pick] = rows
+        assert np.array_equal(got, want)
+
+
 def _triangle_rejection_sampler(rng, count):
     # Uniform points of the open 2-simplex by rejection from the unit square.
     out = np.empty((0, 2))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from paretorecords import (
@@ -20,9 +21,11 @@ from paretorecords import (
     pn_independent,
     pn_marginal_dirichlet,
     pn_scale_mixture,
+    records_bruteforce,
     simulate_trajectory,
     sweep,
 )
+from paretorecords import simulate
 
 
 class TestIndicatorEstimator:
@@ -58,6 +61,26 @@ class TestIndicatorEstimator:
             ]
             assert len({r.point for r in runs}) == 1
             assert len({r.std_error for r in runs}) == 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_record_flag_matches_bruteforce_with_ties(self, d, monkeypatch):
+        # Hand-built streams replace the draws: a {0, 1, 2} lattice (exact
+        # ties and repeated points) and continuous draws tied in one coordinate.
+        rng = np.random.default_rng(30 + d)
+        ties = rng.exponential(size=(40, 12, d))
+        ties[:, :, 0] = np.round(ties[:, :, 0], 1)
+        for block in (rng.integers(0, 3, size=(40, 12, d)).astype(float), ties):
+            for n in (2, 3, 12):
+                streams = block[:, :n]
+                flags = [bool(records_bruteforce(s)[0][-1]) for s in streams]
+                for stream, flag in zip(streams, flags):
+                    monkeypatch.setattr(simulate, "sample_observations", lambda *_, s=stream: s.copy())
+                    est = estimate_record_prob(ExperimentConfig(IidExponential(d), n=n, reps=1))
+                    assert est.point == float(flag), (n, stream)
+                # All replicates in one chunk.
+                monkeypatch.setattr(simulate, "sample_observations", lambda *_: streams.reshape(-1, d))
+                est = estimate_record_prob(ExperimentConfig(IidExponential(d), n=n, reps=len(streams)))
+                assert est.point == sum(flags) / len(flags)
 
 
 class TestSurvivalEstimator:
