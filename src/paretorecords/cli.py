@@ -412,10 +412,9 @@ def _check_limits(args, seed: int) -> dict:
         raise RecordsError("--d is required for the limits check")
     n, d = args.n, args.d
     fn = pn_marginal_dirichlet if args.family == "dir" else pn_scale_mixture
-    p_small = fn(n, d, 1e-3)
-    p_large = fn(n, d, 1e3)
-    p_smaller = fn(n, d, 1e-3 / _LIMIT_STEP)
-    p_larger = fn(n, d, 1e3 * _LIMIT_STEP)
+    p_small, p_large, p_smaller, p_larger = fn(
+        n, d, np.array([1e-3, 1e3, 1e-3 / _LIMIT_STEP, 1e3 * _LIMIT_STEP])
+    ).tolist()
     p_indep = pn_independent(n, d)
     small_target = 1.0 if args.family == "dir" else 1.0 / n
     gap_small = abs(p_small - small_target)

@@ -29,6 +29,18 @@ PrecisionLossError rather than return a value it could not converge to that
 tolerance. The ``*_exact`` functions sum the n-term alternating series in
 exact rationals instead.
 
+``pn_marginal_dirichlet`` and ``pn_scale_mixture`` take ``a`` as a scalar
+(and return a float) or as a 1-D array (and return a float array). A scalar
+is a one-point block of the array route. An array is walked in blocks sized
+so that no temporary exceeds about ``_PN_BLOCK_BUDGET`` floats; each block
+builds its d terms for all its points at once, sums them per point with
+``math.fsum``, and sends only the points it cannot certify to one batched
+quadrature, which doubles its rule only for the points not yet converged.
+Every value is bit-identical to the scalar call at the same point. A bad
+point raises InvalidParameterError and an unconverged one
+PrecisionLossError, for the whole call: the first such point in the array
+is the one named.
+
 p*_n = H_n^(d-1)/n is computed in O(d^2) by Newton's identities: H_n^(k) is
 the complete homogeneous symmetric polynomial h_k(1, 1/2, ..., 1/n) of the
 power sums P_i = sum_{j<=n} j^(-i).
@@ -72,6 +84,10 @@ _EPS = float(np.finfo(float).eps)
 _QUAD_START_NODES = 128
 _QUAD_REL_TOL = 1e-11
 _QUAD_MAX_NODES = 4096
+# An array of a is evaluated in blocks of points whose largest temporary
+# (points x d, or points x d x (n-1) below _STIRLING_MIN_N) holds about this
+# many floats; the quadrature chunks its points x nodes arrays the same way.
+_PN_BLOCK_BUDGET = 1 << 15
 
 # ---------------------------------------------------------------------------
 # Roman harmonic numbers and the independent-coordinates probability
@@ -190,15 +206,21 @@ def _beta_moment_fraction(a: Fraction, d: int, s: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _check_nda(n, d, a) -> tuple[int, int, float]:
+def _check_nda(n, d, a) -> tuple[int, int, np.ndarray]:
+    # a may be a scalar (returned as a 0-d array) or a 1-D array; a bad
+    # point is named as it was passed.
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidParameterError(f"d must be an integer >= 2, got {d!r}")
-    af = float(a)
-    if not np.isfinite(af) or af <= 0.0:
-        raise InvalidParameterError(f"a must be finite and > 0, got {a!r}")
-    return int(n), int(d), af
+    scalar = isinstance(a, float) or np.ndim(a) == 0
+    av = np.array(float(a)) if scalar else np.asarray(a, dtype=float)
+    if av.ndim > 1:
+        raise InvalidParameterError(f"a must be a scalar or a 1-D array, got shape {av.shape}")
+    for v in av.reshape(-1).tolist():
+        if not 0.0 < v < math.inf:
+            raise InvalidParameterError(f"a must be finite and > 0, got {a if scalar else v!r}")
+    return int(n), int(d), av
 
 
 def _pn_exact(n: int, d: int, a, dir_family: bool) -> Fraction:
@@ -245,37 +267,51 @@ def _gauss_laguerre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _pn_quadrature(n: int, d: int, a: float, s: float) -> float:
+def _pn_quadrature(n: int, d: int, a: np.ndarray, s: np.ndarray) -> np.ndarray:
     # In the log domain (x = e^{-y}) the integrand is analytic:
     #   p = (1/B(a,d)) int_0^inf e^{-a y} (1-e^{-y})^{d-1} (1-e^{-s y})^{n-1} dy,
     # and substituting t = a*y turns the weight into plain e^{-t}. The powers
     # are taken in logs: raising a rounded base to the power n-1 would
-    # multiply its rounding error by n. At _QUAD_MAX_NODES it returns if the
-    # last two rules agree to PN_REL_TOL and raises otherwise, as for dir at
-    # small a, whose integrand varies below the smallest node.
+    # multiply its rounding error by n. Each rule runs on every point (a, s)
+    # not yet converged, in chunks of _PN_BLOCK_BUDGET floats, and is doubled
+    # only for those. At _QUAD_MAX_NODES a point is returned if its last two
+    # rules agree to PN_REL_TOL; the first that does not raises, as dir at
+    # small a does, whose integrand varies below the smallest node.
     # ln(a B(a, d)), with B(a, d) = (d-1)! / prod_{i<d} (a+i) exact at any a
-    log_norm = math.log(a) + math.lgamma(d) - float(np.log(a + np.arange(d)).sum())
-    prev = None
+    log_a = np.array([math.log(v) for v in a.tolist()])
+    log_norm = log_a + math.lgamma(d) - np.log(a[:, None] + np.arange(d)).sum(axis=1)
+    out = np.empty(a.size)
+    prev = np.empty(a.size)
+    todo = np.arange(a.size)
     m = _QUAD_START_NODES
-    while True:
+    while todo.size:
         t, w = _gauss_laguerre(m)
-        y = t / a
-        with np.errstate(divide="ignore"):
-            log_f = (d - 1) * np.log(-np.expm1(-y)) + (n - 1) * np.log1p(-np.exp(-s * y))
-        cur = float(np.sum(w * np.exp(log_f - log_norm)))
-        if prev is not None:
-            gap = abs(cur - prev)
-            if gap <= _QUAD_REL_TOL * cur:
-                return cur
+        cur = np.empty(todo.size)
+        step = max(1, _PN_BLOCK_BUDGET // m)
+        for lo in range(0, todo.size, step):
+            idx = todo[lo : lo + step]
+            y = t / a[idx, None]
+            with np.errstate(divide="ignore"):
+                log_f = (d - 1) * np.log(-np.expm1(-y)) + (n - 1) * np.log1p(-np.exp(-s[idx, None] * y))
+            cur[lo : lo + step] = np.sum(w * np.exp(log_f - log_norm[idx, None]), axis=1)
+        if m > _QUAD_START_NODES:
+            gap = np.abs(cur - prev[todo])
+            done = gap <= _QUAD_REL_TOL * cur
             if m >= _QUAD_MAX_NODES:
-                if gap <= PN_REL_TOL * cur:
-                    return cur
-                raise PrecisionLossError(
-                    f"quadrature did not converge: {m} and {m // 2} nodes differ by "
-                    f"{gap / cur:.1e} relative (n={n}, d={d}, a={a}); the *_exact functions are exact"
-                )
-        prev = cur
+                bad = np.flatnonzero(~(gap <= PN_REL_TOL * cur))
+                if bad.size:
+                    i = bad[0]
+                    raise PrecisionLossError(
+                        f"quadrature did not converge: {m} and {m // 2} nodes differ by "
+                        f"{gap[i] / cur[i]:.1e} relative (n={n}, d={d}, a={a[todo[i]].item()}); "
+                        "the *_exact functions are exact"
+                    )
+                done[:] = True
+            out[todo[done]] = cur[done]
+            todo, cur = todo[~done], cur[~done]
+        prev[todo] = cur
         m *= 2
+    return out
 
 
 # From this n on, _log_beta_n uses Stirling's series instead of a product.
@@ -289,7 +325,7 @@ def _stirling_tail(z):
 
 
 def _log_beta_n(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """ln B(x, n) for x > 0 and integer n >= 2, and the size of the logs it sums.
+    """ln B(x, n) for x > 0 (any shape) and integer n >= 2, and the size of the logs it sums.
 
     ``scipy.special.betaln`` loses up to 2e-9 here at large n: the answer is
     a small difference of large log-Gammas. Below ``_STIRLING_MIN_N`` this
@@ -301,7 +337,8 @@ def _log_beta_n(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < _STIRLING_MIN_N:
         log_x = np.log(x)
-        log_rise = np.log1p(x[:, None] / np.arange(1.0, n)).sum(axis=1)
+        ratio = x[..., None] / np.arange(1.0, n)
+        log_rise = np.log1p(ratio, out=ratio).sum(axis=-1)
         return -log_x - log_rise, np.abs(log_x) + log_rise
     nf = float(n)
     log_gamma = gammaln(x)
@@ -309,44 +346,64 @@ def _log_beta_n(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return log_gamma - log_rise, np.abs(log_gamma) + log_rise
 
 
-def _pn_beta_terms(n: int, d: int, a: float, s: float) -> tuple[float, float]:
-    """p_n as the d-term Beta sum, with a bound on its relative error.
+def _pn_beta_terms(n: int, d: int, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p_n as the d-term Beta sum at each point (a, s), with a bound on its relative error.
 
-    t_k = (-1)^k C(d-1, k) B((a+k)/s, n) / (s B(a, d)); the bound is inf when
-    the computed sum is not positive.
+    t_k = (-1)^k C(d-1, k) B((a+k)/s, n) / (s B(a, d)), built for all points
+    at once and summed per point with ``math.fsum``; a point's bound is inf
+    when its computed sum is not positive.
     """
-    k = np.arange(d)
-    # -ln(s B(a, d)) with B(a, d) = (d-1)! / prod_{i<d} (a+i)
-    log_norm = np.log(a + k).sum() - math.lgamma(d) - math.log(s)
-    log_binom = math.lgamma(d) - gammaln(k + 1.0) - gammaln(d - k)
+    ak = a[:, None] + np.arange(d)
+    log_s = np.array([math.log(v) for v in s.tolist()])
+    log_fact = gammaln(np.arange(1.0, d + 1.0))  # ln k! for k < d
+    log_binom = math.lgamma(d) - log_fact - log_fact[::-1]
     # At extreme a a term can overflow (then no bound holds) or underflow
     # to 0 with an infinite size (then it adds no error).
     with np.errstate(over="ignore", invalid="ignore"):
-        log_beta, log_beta_size = _log_beta_n((a + k) / s, n)
+        # -ln(s B(a, d)) with B(a, d) = (d-1)! / prod_{i<d} (a+i)
+        log_norm = (np.log(ak).sum(axis=1) - math.lgamma(d) - log_s)[:, None]
+        log_beta, log_beta_size = _log_beta_n(ak / s[:, None], n)
         terms = np.exp(log_binom + log_norm + log_beta)
-        err = terms * (_TERM_ULPS + abs(log_norm) + np.abs(log_binom) + log_beta_size)
-    if not np.isfinite(terms).all():
-        return math.nan, math.inf
-    err_sum = float(err[terms > 0.0].sum())
-    terms[1::2] *= -1.0
-    total = math.fsum(terms.tolist())
-    if not total > 0.0:
-        return total, math.inf
-    return total, err_sum * _EPS / total
+        err = terms * (_TERM_ULPS + np.abs(log_norm) + np.abs(log_binom) + log_beta_size)
+        err_sum = err.sum(axis=1)
+    totals, bounds = [], []
+    for i, (row, row_err) in enumerate(zip(terms.tolist(), err_sum.tolist())):
+        if not all(map(math.isfinite, row)):
+            totals.append(math.nan)
+            bounds.append(math.inf)
+            continue
+        if 0.0 in row:
+            row_err = float(err[i][terms[i] > 0.0].sum())
+        row[1::2] = [-t for t in row[1::2]]
+        total = math.fsum(row)
+        totals.append(total)
+        bounds.append(row_err * _EPS / total if total > 0.0 else math.inf)
+    return np.array(totals), np.array(bounds)
 
 
-def _pn_family(n, d, a, dir_family: bool) -> float:
-    n, d, af = _check_nda(n, d, a)
+def _pn_family(n, d, a, dir_family: bool):
+    # One route for a scalar a (a one-point block) and for a 1-D array of a.
+    n, d, av = _check_nda(n, d, a)
+    points = av.reshape(-1)
     if n == 1:
-        return 1.0
-    s = af + (d - 1) if dir_family else af
-    value, bound = _pn_beta_terms(n, d, af, s)
-    if bound <= PN_REL_TOL:
-        return min(value, 1.0)  # p_n <= 1; the rounding may not know it
-    return _pn_quadrature(n, d, af, s)
+        out = np.ones(points.size)
+    else:
+        out = np.empty(points.size)
+        rise = n - 1 if n < _STIRLING_MIN_N else 1
+        step = max(1, _PN_BLOCK_BUDGET // (d * rise))
+        for lo in range(0, points.size, step):
+            ab = points[lo : lo + step]
+            sb = ab + (d - 1) if dir_family else ab
+            value, bound = _pn_beta_terms(n, d, ab, sb)
+            np.minimum(value, 1.0, out=out[lo : lo + step])  # p_n <= 1; the rounding may not know it
+            uncertified = ~(bound <= PN_REL_TOL)
+            if uncertified.any():
+                rest = np.flatnonzero(uncertified)
+                out[lo + rest] = _pn_quadrature(n, d, ab[rest], sb[rest])
+    return float(out[0]) if av.ndim == 0 else out
 
 
-def pn_marginal_dirichlet(n: int, d: int, a) -> float:
+def pn_marginal_dirichlet(n: int, d: int, a) -> float | np.ndarray:
     """Record probability under ``MarginalDirichlet(d, a)``.
 
     Evaluates E(1 - Z^(d+a-1))^(n-1) with Z ~ Beta(a, d). Strictly
@@ -357,6 +414,13 @@ def pn_marginal_dirichlet(n: int, d: int, a) -> float:
     bound meets :data:`PN_REL_TOL`, and uses quadrature elsewhere (large a,
     small n); either way the value is within PN_REL_TOL relative or
     PrecisionLossError is raised.
+
+    ``a`` is a scalar (the result is a float) or a 1-D array (a float array
+    of the same length, evaluated in blocks of about ``_PN_BLOCK_BUDGET``
+    floats per temporary, each value equal to the scalar call's). An array
+    with any point that is not finite and > 0 raises InvalidParameterError,
+    and one with any point that cannot be certified raises
+    PrecisionLossError; the message names the first such point.
     """
     return _pn_family(n, d, a, True)
 
@@ -371,13 +435,14 @@ def pn_marginal_dirichlet_exact(n: int, d: int, a) -> Fraction:
     return _pn_exact(n, d, a, True) if n > 1 else Fraction(1)
 
 
-def pn_scale_mixture(n: int, d: int, a) -> float:
+def pn_scale_mixture(n: int, d: int, a) -> float | np.ndarray:
     """Record probability under ``ExponentialScaleMixture(d, a)``.
 
     Evaluates E(1 - Z^a)^(n-1) with Z ~ Beta(a, d). Strictly increasing in
     a, with limits 1/n (a -> 0) and the independent-coordinates value
     (a -> infinity); always between 1/n and :func:`pn_independent`.
-    Evaluated as :func:`pn_marginal_dirichlet` is.
+    Evaluated as :func:`pn_marginal_dirichlet` is, for a scalar or a 1-D
+    array ``a`` alike, and raises as it does.
     """
     return _pn_family(n, d, a, False)
 

@@ -533,6 +533,7 @@ def _chi2_two_sample(h1: np.ndarray, h2: np.ndarray, min_expected: float = 5.0):
 # ---------------------------------------------------------------------------
 
 #: Exact p_n(n, d, a) by family tag, looked up when called so that tracing can replace the names.
+#: ``a`` may be a 1-D array for ``dir`` and ``pa``; ``iid-exp`` ignores it.
 EXACT_PN = {
     "dir": lambda n, d, a: pn_marginal_dirichlet(n, d, a),
     "pa": lambda n, d, a: pn_scale_mixture(n, d, a),
@@ -562,6 +563,11 @@ def sweep(
     estimate (``estimator`` is ``"indicator"`` or ``"survival"``), its SE and
     the gap to the exact value in SE units. A failing row is marked and the
     sweep continues.
+
+    An ``a_values`` grid gets its exact column from one ``EXACT_PN[family]``
+    call on the whole grid. If that call raises, the grid is evaluated again
+    point by point, so each failing row carries its own error and the others
+    their values.
     """
     grids = [g for g in (a_values, n_values, d_values) if g is not None]
     if len(grids) != 1 or len(grids[0]) == 0:
@@ -579,12 +585,20 @@ def sweep(
     else:
         points = [(n, int(v), a) for v in d_values]
 
+    exact_column = None
+    if a_values is not None and n is not None and d is not None:
+        grid = np.array([aa for _, _, aa in points])
+        try:
+            exact_column = np.broadcast_to(EXACT_PN[family](n, d, grid), grid.shape).tolist()
+        except Exception:  # noqa: BLE001 - the rows below are evaluated one by one instead
+            pass
+
     rows: list[SweepRow] = []
     for idx, (nn, dd, aa) in enumerate(points):
         try:
             if nn is None or dd is None:
                 raise InvalidParameterError("fixed n and d must be provided for this grid")
-            exact = EXACT_PN[family](nn, dd, aa)
+            exact = exact_column[idx] if exact_column is not None else EXACT_PN[family](nn, dd, aa)
             estimate = std_error = sigma_gap = None
             if reps > 0:
                 spec = spec_from_json({"family": family, "d": dd, "a": aa})

@@ -164,7 +164,8 @@ FAMILY_ROUTES = [
 
 def _quadrature(n, d, a, dir_family):
     """p_n by quadrature alone, the fallback of the float route."""
-    return exact_mod._pn_quadrature(n, d, a, a + d - 1 if dir_family else a)
+    s = a + d - 1 if dir_family else a
+    return float(exact_mod._pn_quadrature(n, d, np.array([a]), np.array([s]))[0])
 
 
 class TestFamilyProbabilities:
@@ -332,8 +333,8 @@ class TestDefaultRoute:
         for dir_family in (True, False):
             for n, d, a in [(2, 6, 30.0), (50, 4, 30.0), (10**4, 3, 1e3), (10**8, 2, 1e3), (31, 6, 1e-3)]:
                 s = a + d - 1 if dir_family else a
-                value, bound = exact_mod._pn_beta_terms(n, d, a, s)
-                assert _rel_err(value, _dterm_oracle(n, d, a, dir_family)) <= bound, (n, d, a)
+                value, bound = exact_mod._pn_beta_terms(n, d, np.array([a]), np.array([s]))
+                assert _rel_err(value[0], _dterm_oracle(n, d, a, dir_family)) <= bound[0], (n, d, a)
 
     def test_extreme_a_meets_the_limits(self):
         # Within 1e-300 or 1e-15 of its a -> 0 or a -> inf limit, p_n equals
@@ -361,6 +362,96 @@ class TestDefaultRoute:
             for d in (5, 6):
                 vals = np.array([fn(30, d, a) for a in grid])
                 assert np.all(sign * np.diff(vals) > 0), (fn.__name__, d)
+
+
+ARRAY_NS = (1, 2, 3, 30, 64, 65, 200, 10**4, 10**6, 10**8)
+ARRAY_DS = (2, 3, 5, 8, 9, 10)
+ARRAY_A = np.concatenate([np.geomspace(1e-3, 1e3, 97), [1e-300, 1e-8, 1e8, 1e15, 1e300]])
+
+
+class TestArrayRoute:
+    """An array of a runs the scalar route's arithmetic in blocks, to the bit."""
+
+    @pytest.mark.parametrize("fn", [pn_marginal_dirichlet, pn_scale_mixture])
+    def test_array_equals_scalar_calls(self, monkeypatch, fn):
+        scalar = {(n, d): [fn(n, d, a) for a in ARRAY_A.tolist()] for n in ARRAY_NS for d in ARRAY_DS}
+        # Small budgets split each grid into several blocks and a remainder
+        # (or into one-point blocks), and the quadrature into chunks.
+        for budget in (64, 4096):
+            monkeypatch.setattr(exact_mod, "_PN_BLOCK_BUDGET", budget)
+            for (n, d), ref in scalar.items():
+                got = fn(n, d, ARRAY_A)
+                assert got.dtype == np.float64 and got.shape == ARRAY_A.shape
+                assert np.array_equal(got, np.array(ref)), (fn.__name__, n, d, budget)
+
+    def test_blocks_follow_the_budget(self, monkeypatch):
+        sizes = []
+        real = exact_mod._pn_beta_terms
+
+        def spy(n, d, a, s):
+            sizes.append(a.size)
+            return real(n, d, a, s)
+
+        monkeypatch.setattr(exact_mod, "_pn_beta_terms", spy)
+        monkeypatch.setattr(exact_mod, "_PN_BLOCK_BUDGET", 4096)
+        pn_scale_mixture(30, 5, ARRAY_A)  # 4096 // (5 * 29) = 28 points a block
+        assert sizes == [28, 28, 28, 18]
+        sizes.clear()
+        pn_scale_mixture(10**4, 5, ARRAY_A)  # no (n - 1) axis from _STIRLING_MIN_N on
+        assert sizes == [ARRAY_A.size]
+
+    def test_only_uncertified_points_reach_quadrature(self, monkeypatch):
+        grid = np.geomspace(1e-3, 1e3, 97)
+        _, bound = exact_mod._pn_beta_terms(30, 6, grid, grid + 5.0)
+        uncertified = grid[bound > exact_mod.PN_REL_TOL]
+        assert 0 < uncertified.size < grid.size
+        seen = []
+        real = exact_mod._pn_quadrature
+
+        def spy(n, d, a, s):
+            seen.append(a.copy())
+            return real(n, d, a, s)
+
+        monkeypatch.setattr(exact_mod, "_pn_quadrature", spy)
+        monkeypatch.setattr(exact_mod, "_PN_BLOCK_BUDGET", 4096)  # 23 points a block
+        pn_marginal_dirichlet(30, 6, grid)
+        assert len(seen) > 1  # one call per block that has such points
+        assert np.array_equal(np.concatenate(seen), uncertified)
+
+    def test_quadrature_raises_for_the_first_unconverged_point(self):
+        a = np.array([1.0, 1e-3, 2e-3])
+        with pytest.raises(PrecisionLossError) as batch:
+            exact_mod._pn_quadrature(100, 3, a, a + 2.0)
+        with pytest.raises(PrecisionLossError) as alone:
+            exact_mod._pn_quadrature(100, 3, a[1:2], a[1:2] + 2.0)
+        assert str(batch.value) == str(alone.value)
+
+    def test_scalar_in_float_out(self):
+        assert type(pn_marginal_dirichlet(5, 3, 0.5)) is float
+        assert type(pn_scale_mixture(1, 3, 0.5)) is float
+        out = pn_marginal_dirichlet(5, 3, [0.5, 2.0])
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (2,)
+        assert pn_scale_mixture(5, 3, np.array([])).shape == (0,)
+        assert np.array_equal(pn_scale_mixture(1, 3, [0.5, 2.0]), [1.0, 1.0])
+
+    def test_array_validation(self):
+        with pytest.raises(InvalidParameterError, match="got -1.0"):
+            pn_marginal_dirichlet(5, 3, np.array([0.5, -1.0]))
+        with pytest.raises(InvalidParameterError, match="got inf"):
+            pn_scale_mixture(5, 3, [0.5, math.inf])
+        with pytest.raises(InvalidParameterError, match="1-D"):
+            pn_scale_mixture(5, 3, np.ones((2, 2)))
+
+    def test_grid_memory_is_blocked(self):
+        # Unblocked, the (points, d, n - 1) terms of this grid alone take 11 MB.
+        grid = np.geomspace(1e-3, 1e3, 8000)
+        tracemalloc.start()
+        try:
+            pn_scale_mixture(30, 6, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak
 
 
 class TestGaussLaguerre:

@@ -12,6 +12,7 @@ from paretorecords import (
     InvalidParameterError,
     MarginalDirichlet,
     Mixture,
+    PrecisionLossError,
     UnsupportedSpecError,
     concomitant_check,
     estimate_maxima,
@@ -25,6 +26,7 @@ from paretorecords import (
     simulate_trajectory,
     sweep,
 )
+from paretorecords import exact as exact_mod
 from paretorecords import simulate
 
 
@@ -247,6 +249,36 @@ class TestSweep:
         rows = sweep("dir", a_values=[1.0, -1.0, 2.0], n=3, d=2)
         assert rows[0].error is None and rows[2].error is None
         assert rows[1].error is not None and rows[1].exact is None
+        # The good rows keep the scalar values to the bit, the bad one the scalar error.
+        assert [rows[0].exact, rows[2].exact] == [pn_marginal_dirichlet(3, 2, 1.0), pn_marginal_dirichlet(3, 2, 2.0)]
+        with pytest.raises(InvalidParameterError) as exc:
+            pn_marginal_dirichlet(3, 2, -1.0)
+        assert rows[1].error == f"{exc.type.__name__}: {exc.value}"
+
+    def test_unconverged_row_marked_not_raised(self, monkeypatch):
+        # Capped at 256 nodes, the quadrature cannot certify dir(200, 6, 1000);
+        # the d-term sum certifies the two other points.
+        monkeypatch.setattr(exact_mod, "_QUAD_MAX_NODES", 256)
+        rows = sweep("dir", a_values=[0.5, 1000.0, 2.0], n=200, d=6)
+        with pytest.raises(PrecisionLossError) as exc:
+            pn_marginal_dirichlet(200, 6, 1000.0)
+        assert rows[1].exact is None and rows[1].error == f"PrecisionLossError: {exc.value}"
+        assert [rows[0].exact, rows[2].exact] == [pn_marginal_dirichlet(200, 6, 0.5), pn_marginal_dirichlet(200, 6, 2.0)]
+
+    @pytest.mark.parametrize("family, fn", [("dir", pn_marginal_dirichlet), ("pa", pn_scale_mixture)])
+    def test_exact_a_grid_is_one_call(self, monkeypatch, family, fn):
+        calls = []
+        real = simulate.EXACT_PN[family]
+
+        def spy(n, d, a):
+            calls.append(a)
+            return real(n, d, a)
+
+        monkeypatch.setitem(simulate.EXACT_PN, family, spy)
+        grid = np.geomspace(1e-3, 1e3, 50)
+        rows = sweep(family, a_values=grid, n=30, d=6)
+        assert len(calls) == 1 and np.array_equal(calls[0], grid)
+        assert [row.exact for row in rows] == [fn(30, 6, a) for a in grid.tolist()]
 
     def test_grid_validation(self):
         with pytest.raises(InvalidParameterError):

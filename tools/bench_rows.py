@@ -8,7 +8,9 @@ For each workload and seed, ``bench/run.py --workload W --seed S --seconds T
 ``git archive``, so only committed files run) and once in this checkout,
 alternating which side goes first from pair to pair so both see the machine
 in the same state. Each side runs its own ``bench/`` on its own ``src/``.
-Without ``--parent`` only this checkout runs.
+After these timed pairs, each side runs each workload once more with
+``--trace 1``, on the first seed. Without ``--parent`` only this checkout
+runs.
 
 The JSON file named by ``--out`` gets:
 
@@ -18,7 +20,9 @@ The JSON file named by ``--out`` gets:
 - ``rows``: one per run, with the end-to-end metrics and the attempted and
   failed operation counts;
 - ``summary``: per workload, side and metric the median and quartiles, and
-  for each metric the pairs the change won (ties count for neither side).
+  for each metric the pairs the change won (ties count for neither side);
+- ``per_layer``: per workload and side, the traced run's seed, correctness,
+  operation counts and per-layer metrics.
 """
 
 from __future__ import annotations
@@ -55,9 +59,9 @@ def export(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
@@ -121,6 +125,10 @@ def main(argv=None) -> int:
                     rows.append(row)
                     print(json.dumps(row), file=sys.stderr, flush=True)
                 i += 1
+        per_layer = {workload: {side: {"seed": args.seeds[0],
+                                       **run_once(paths[side], workload, args.seeds[0], args.seconds, trace=1)}
+                                for side in paths}
+                     for workload in args.workloads}
     doc = {
         "command": ["python3", "tools/bench_rows.py", *(argv if argv is not None else sys.argv[1:])],
         "seconds": args.seconds,
@@ -129,6 +137,7 @@ def main(argv=None) -> int:
         "trees": trees,
         "rows": rows,
         "summary": summarize(rows),
+        "per_layer": per_layer,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(args.out)
