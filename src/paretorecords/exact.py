@@ -23,11 +23,15 @@ integral (s = d+a-1 for dir, s = a for pa):
 The float evaluators sum these d terms. Their cancellation factor
 kappa = sum |t_k| / |sum t_k| comes with them, and kappa times the terms' own
 rounding error bounds the sum's relative error. Where that bound exceeds
-:data:`PN_REL_TOL` (large a, small n) they fall back to Gauss-Laguerre
-quadrature of the smooth log-domain integrand, which raises
-PrecisionLossError rather than return a value it could not converge to that
-tolerance. The ``*_exact`` functions sum the n-term alternating series in
-exact rationals instead.
+:data:`PN_REL_TOL` (large a, small n) they fall back to the trapezoidal rule
+in v = ln y for the integral
+
+    p_n = 1/B(a, d) * int_0^inf e^(-a y) (1 - e^(-y))^(d-1) (1 - e^(-s y))^(n-1) dy,
+
+whose integrand is analytic in v and decays at both ends, so halving the
+step converges geometrically. It raises PrecisionLossError rather than
+return a value it could not converge to that tolerance. The ``*_exact``
+functions sum the n-term alternating series in exact rationals instead.
 
 ``pn_marginal_dirichlet`` and ``pn_scale_mixture`` take ``a`` as a scalar
 (and return a float) or as a 1-D array (and return a float array). A scalar
@@ -35,7 +39,7 @@ is a one-point block of the array route. An array is walked in blocks sized
 so that no temporary exceeds about ``_PN_BLOCK_BUDGET`` floats; each block
 builds its d terms for all its points at once, sums them per point with
 ``math.fsum``, and sends only the points it cannot certify to one batched
-quadrature, which doubles its rule only for the points not yet converged.
+quadrature, which halves its step only for the points not yet converged.
 Every value is bit-identical to the scalar call at the same point. A bad
 point raises InvalidParameterError and an unconverged one
 PrecisionLossError, for the whole call: the first such point in the array
@@ -52,7 +56,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import digamma, gammaln, zeta
 
 from .errors import DimensionMismatchError, InvalidParameterError, PrecisionLossError
@@ -79,11 +82,11 @@ PN_REL_TOL = 1e-9
 # i.e. kappa times the terms' own error.
 _TERM_ULPS = 16
 _EPS = float(np.finfo(float).eps)
-# Quadrature starts at _QUAD_START_NODES and doubles the rule until successive
-# rules agree to _QUAD_REL_TOL, up to _QUAD_MAX_NODES.
-_QUAD_START_NODES = 128
+# Quadrature starts at _QUAD_START_INTERVALS and halves its step until two
+# levels agree to _QUAD_REL_TOL, up to _QUAD_MAX_INTERVALS.
+_QUAD_START_INTERVALS = 64
 _QUAD_REL_TOL = 1e-11
-_QUAD_MAX_NODES = 4096
+_QUAD_MAX_INTERVALS = 8192
 # An array of a is evaluated in blocks of points whose largest temporary
 # (points x d, or points x d x (n-1) below _STIRLING_MIN_N) holds about this
 # many floats; the quadrature chunks its points x nodes arrays the same way.
@@ -234,75 +237,50 @@ def _pn_exact(n: int, d: int, a, dir_family: bool) -> Fraction:
     return total
 
 
-_LAGUERRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_laguerre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Nodes: eigenvalues of the Laguerre Jacobi matrix (Golub-Welsch; stable
-    # at any size, unlike scipy.special.roots_laguerre above ~500 nodes).
-    # Weights: Christoffel numbers 1 / sum_{k<m} L_k(t)^2 from the
-    # orthonormal recurrence (k+1) L_{k+1} = (2k+1-t) L_k - k L_{k-1}. They
-    # keep full relative accuracy where eigenvector components, whose error
-    # is absolute, do not: the weights of the large nodes that carry p_n at
-    # large n. Nodes beyond 800 get weight 0 (the true weight is < e^-745).
-    cached = _LAGUERRE_CACHE.get(m)
-    if cached is None:
-        nodes = eigh_tridiagonal(2.0 * np.arange(m) + 1.0, np.arange(1.0, m), eigvals_only=True)
-        t = nodes[nodes < 800.0]
-        prev, cur = np.zeros_like(t), np.ones_like(t)
-        total = np.ones_like(t)
-        log_scale = np.zeros_like(t)  # the sum is total * exp(2 log_scale)
-        for k in range(m - 1):
-            prev, cur = cur, ((2 * k + 1 - t) * cur - k * prev) / (k + 1)
-            total += cur * cur
-            if total.max() > 1e200:
-                f = np.sqrt(total)
-                prev /= f
-                cur /= f
-                total /= f * f
-                log_scale += np.log(f)
-        weights = np.zeros(m)
-        weights[: t.size] = np.exp(-2.0 * log_scale) / total
-        cached = _LAGUERRE_CACHE[m] = (nodes, weights)
-    return cached
-
-
 def _pn_quadrature(n: int, d: int, a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # In the log domain (x = e^{-y}) the integrand is analytic:
-    #   p = (1/B(a,d)) int_0^inf e^{-a y} (1-e^{-y})^{d-1} (1-e^{-s y})^{n-1} dy,
-    # and substituting t = a*y turns the weight into plain e^{-t}. The powers
-    # are taken in logs: raising a rounded base to the power n-1 would
-    # multiply its rounding error by n. Each rule runs on every point (a, s)
-    # not yet converged, in chunks of _PN_BLOCK_BUDGET floats, and is doubled
-    # only for those. At _QUAD_MAX_NODES a point is returned if its last two
-    # rules agree to PN_REL_TOL; the first that does not raises, as dir at
-    # small a does, whose integrand varies below the smallest node.
-    # ln(a B(a, d)), with B(a, d) = (d-1)! / prod_{i<d} (a+i) exact at any a
-    log_a = np.array([math.log(v) for v in a.tolist()])
-    log_norm = log_a + math.lgamma(d) - np.log(a[:, None] + np.arange(d)).sum(axis=1)
+    # In v = ln y the integrand of
+    #   p = (1/B(a,d)) int_0^inf e^{-a y} (1-e^{-y})^{d-1} (1-e^{-s y})^{n-1} dy
+    # is analytic and decays at both ends, so the trapezoidal rule in v
+    # converges geometrically (Trefethen & Weideman, SIAM Review 2014). Each
+    # point (a, s) gets its own range: below y = e^-14/s the last factor is
+    # under e^{-14(n-1)}, and above y = 750/a e^{-a y} underflows. What the
+    # range and the rule's two end values (left out) miss is below 1e-12 of
+    # p; it is largest for pa at n = 2 and a -> 0. The powers are taken in
+    # logs: raising a rounded base to the power n-1 would multiply its
+    # rounding error by n. From _QUAD_START_INTERVALS the step is halved,
+    # adding only the new midpoints, for the points not yet converged (in
+    # chunks of _PN_BLOCK_BUDGET floats), until two levels agree to
+    # _QUAD_REL_TOL. At _QUAD_MAX_INTERVALS a point is returned if its last
+    # two levels agree to PN_REL_TOL; the first that does not raises.
+    v0 = -np.log(s) - 14.0
+    width = math.log(750.0) - np.log(a) - v0
+    log_norm = np.log(a[:, None] + np.arange(d)).sum(axis=1) - math.lgamma(d)  # -ln B(a, d)
     out = np.empty(a.size)
+    total = np.zeros(a.size)  # sum of the integrand over a point's nodes so far
     prev = np.empty(a.size)
     todo = np.arange(a.size)
-    m = _QUAD_START_NODES
+    m = _QUAD_START_INTERVALS
     while todo.size:
-        t, w = _gauss_laguerre(m)
-        cur = np.empty(todo.size)
-        step = max(1, _PN_BLOCK_BUDGET // m)
+        first = m == _QUAD_START_INTERVALS
+        frac = np.arange(1, m, 1 if first else 2) / m  # node i of m sits at v0 + (i/m) width
+        step = max(1, _PN_BLOCK_BUDGET // frac.size)
         for lo in range(0, todo.size, step):
             idx = todo[lo : lo + step]
-            y = t / a[idx, None]
-            with np.errstate(divide="ignore"):
-                log_f = (d - 1) * np.log(-np.expm1(-y)) + (n - 1) * np.log1p(-np.exp(-s[idx, None] * y))
-            cur[lo : lo + step] = np.sum(w * np.exp(log_f - log_norm[idx, None]), axis=1)
-        if m > _QUAD_START_NODES:
+            v = v0[idx, None] + frac * width[idx, None]
+            y = np.exp(v)
+            log_f = v - a[idx, None] * y + (d - 1) * np.log(-np.expm1(-y))
+            log_f += (n - 1) * np.log1p(-np.exp(-s[idx, None] * y))
+            total[idx] += np.exp(log_f + log_norm[idx, None]).sum(axis=1)
+        cur = total[todo] * width[todo] / m
+        if not first:
             gap = np.abs(cur - prev[todo])
             done = gap <= _QUAD_REL_TOL * cur
-            if m >= _QUAD_MAX_NODES:
+            if m >= _QUAD_MAX_INTERVALS:
                 bad = np.flatnonzero(~(gap <= PN_REL_TOL * cur))
                 if bad.size:
                     i = bad[0]
                     raise PrecisionLossError(
-                        f"quadrature did not converge: {m} and {m // 2} nodes differ by "
+                        f"quadrature did not converge: {m} and {m // 2} intervals differ by "
                         f"{gap[i] / cur[i]:.1e} relative (n={n}, d={d}, a={a[todo[i]].item()}); "
                         "the *_exact functions are exact"
                     )
@@ -411,9 +389,9 @@ def pn_marginal_dirichlet(n: int, d: int, a) -> float | np.ndarray:
     value (a -> infinity); always >= :func:`pn_independent`.
 
     Sums the d-term Beta form (see the module docstring) wherever its error
-    bound meets :data:`PN_REL_TOL`, and uses quadrature elsewhere (large a,
-    small n); either way the value is within PN_REL_TOL relative or
-    PrecisionLossError is raised.
+    bound meets :data:`PN_REL_TOL`, and elsewhere (large a, small n) uses the
+    trapezoidal rule in ln y; either way the value is within PN_REL_TOL
+    relative or PrecisionLossError is raised.
 
     ``a`` is a scalar (the result is a float) or a 1-D array (a float array
     of the same length, evaluated in blocks of about ``_PN_BLOCK_BUDGET``

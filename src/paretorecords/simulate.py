@@ -23,7 +23,7 @@ Estimators
 * :func:`concomitant_check` -- compares the distribution of the maxima count
   in dimension d with the record count in dimension d-1 (they agree for any
   continuous law: sort the stream by the dropped coordinate).
-* :func:`sweep` -- one-parameter grids combining exact values and estimates.
+* :func:`sweep` -- grids over a combining exact values and estimates.
 
 Maxima fold
 -----------
@@ -46,7 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .errors import InvalidParameterError
 from .exact import pn_independent, pn_marginal_dirichlet, pn_scale_mixture, survival
@@ -135,7 +135,7 @@ class SweepRow:
     family: str
     n: int
     d: int
-    a: float | None
+    a: float
     exact: float | None
     estimate: float | None
     std_error: float | None
@@ -525,7 +525,7 @@ def _chi2_two_sample(h1: np.ndarray, h2: np.ndarray, min_expected: float = 5.0):
         e2 = pooled * n2 / total
         stat += (b1 - e1) ** 2 / e1 + (b2 - e2) ** 2 / e2
     dof = len(bins) - 1
-    return float(stat), dof, float(chi2.sf(stat, dof))
+    return float(stat), dof, float(chdtrc(dof, stat))
 
 
 # ---------------------------------------------------------------------------
@@ -544,79 +544,61 @@ EXACT_PN = {
 def sweep(
     family: str,
     *,
-    a_values=None,
-    n_values=None,
-    d_values=None,
-    n: int | None = None,
-    d: int | None = None,
-    a: float | None = None,
+    a_values,
+    n: int,
+    d: int,
     reps: int = 0,
     seed: int = 0,
     workers: int = 1,
     estimator: str = "indicator",
 ) -> list[SweepRow]:
-    """Evaluate a one-parameter grid of record probabilities.
+    """Evaluate record probabilities of ``family`` ("dir" or "pa") over a grid of a.
 
-    Exactly one of ``a_values``/``n_values``/``d_values`` must be given; the
-    other two parameters are fixed. ``reps = 0`` produces an exact-only
-    table with no sampling; otherwise each row also carries a Monte Carlo
-    estimate (``estimator`` is ``"indicator"`` or ``"survival"``), its SE and
-    the gap to the exact value in SE units. A failing row is marked and the
-    sweep continues.
+    n and d are fixed. ``reps = 0`` produces an exact-only table with no
+    sampling; otherwise each row also carries a Monte Carlo estimate
+    (``estimator`` is ``"indicator"`` or ``"survival"``), its SE and the gap
+    to the exact value in SE units. A failing row is marked and the sweep
+    continues.
 
-    An ``a_values`` grid gets its exact column from one ``EXACT_PN[family]``
-    call on the whole grid. If that call raises, the grid is evaluated again
-    point by point, so each failing row carries its own error and the others
-    their values.
+    The exact column comes from one ``EXACT_PN[family]`` call on the whole
+    grid. If that call raises, the grid is evaluated again point by point, so
+    each failing row carries its own error and the others their values.
     """
-    grids = [g for g in (a_values, n_values, d_values) if g is not None]
-    if len(grids) != 1 or len(grids[0]) == 0:
-        raise InvalidParameterError("exactly one nonempty grid among a_values/n_values/d_values required")
+    if len(a_values) == 0:
+        raise InvalidParameterError("a_values must be a nonempty grid")
     if estimator not in ("indicator", "survival"):
         raise InvalidParameterError(f'estimator must be "indicator" or "survival", got {estimator!r}')
-    if family not in EXACT_PN:
-        raise InvalidParameterError(f'sweep family must be "dir", "pa" or "iid-exp", got {family!r}')
+    if family not in ("dir", "pa"):
+        raise InvalidParameterError(f'sweep family must be "dir" or "pa", got {family!r}')
 
-    points: list[tuple[int, int, float | None]]
-    if a_values is not None:
-        points = [(n, d, float(v)) for v in a_values]
-    elif n_values is not None:
-        points = [(int(v), d, a) for v in n_values]
-    else:
-        points = [(n, int(v), a) for v in d_values]
-
-    exact_column = None
-    if a_values is not None and n is not None and d is not None:
-        grid = np.array([aa for _, _, aa in points])
-        try:
-            exact_column = np.broadcast_to(EXACT_PN[family](n, d, grid), grid.shape).tolist()
-        except Exception:  # noqa: BLE001 - the rows below are evaluated one by one instead
-            pass
+    grid = [float(v) for v in a_values]
+    try:
+        exact_column = EXACT_PN[family](n, d, np.array(grid)).tolist()
+    except Exception:  # noqa: BLE001 - the rows below are evaluated one by one instead
+        exact_column = None
 
     rows: list[SweepRow] = []
-    for idx, (nn, dd, aa) in enumerate(points):
+    for idx, aa in enumerate(grid):
         try:
-            if nn is None or dd is None:
-                raise InvalidParameterError("fixed n and d must be provided for this grid")
-            exact = exact_column[idx] if exact_column is not None else EXACT_PN[family](nn, dd, aa)
+            exact = exact_column[idx] if exact_column is not None else EXACT_PN[family](n, d, aa)
             estimate = std_error = sigma_gap = None
             if reps > 0:
-                spec = spec_from_json({"family": family, "d": dd, "a": aa})
+                spec = spec_from_json({"family": family, "d": d, "a": aa})
                 base = (idx + 1) * _PHASE_STRIDE
                 if estimator == "survival":
                     est = estimate_record_prob_survival(
-                        spec, nn, reps, seed, workers, _stream_base=base
+                        spec, n, reps, seed, workers, _stream_base=base
                     )
                 else:
                     est = estimate_record_prob(
-                        ExperimentConfig(spec, nn, reps, seed, workers), _stream_base=base
+                        ExperimentConfig(spec, n, reps, seed, workers), _stream_base=base
                     )
                 estimate, std_error = est.point, est.std_error
                 if std_error > 0:
                     sigma_gap = (estimate - exact) / std_error
                 else:
                     sigma_gap = 0.0 if estimate == exact else math.inf
-            rows.append(SweepRow(family, nn, dd, aa, exact, estimate, std_error, sigma_gap))
+            rows.append(SweepRow(family, n, d, aa, exact, estimate, std_error, sigma_gap))
         except Exception as exc:  # noqa: BLE001 - row-level isolation is the contract
-            rows.append(SweepRow(family, nn, dd, aa, None, None, None, None, f"{type(exc).__name__}: {exc}"))
+            rows.append(SweepRow(family, n, d, aa, None, None, None, None, f"{type(exc).__name__}: {exc}"))
     return rows

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paretorecords
 from paretorecords import cli, pn_scale_mixture
 from paretorecords.cli import (
     EXIT_OK,
@@ -357,3 +362,16 @@ class TestCheckCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out)["pvalue"] >= 1e-3
+
+
+def test_import_loads_no_scipy_stats_or_linalg():
+    # Every command pays the package import, and scipy.stats alone takes most
+    # of a second to load; the package needs only scipy.special.
+    src = Path(paretorecords.__file__).resolve().parent.parent
+    script = "import sys, paretorecords.cli; print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

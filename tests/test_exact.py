@@ -294,9 +294,11 @@ class TestDefaultRoute:
     def test_grid_against_mpmath(self):
         for fn, dir_family in FAMILIES:
             for n in (2, 31, 50, 200, 10**4, 10**6, 10**8):
-                for d in (2, 3, 4, 6):
-                    for a in (1e-3, 0.05, 1.0, 30.0, 1e3):
-                        err = _rel_err(fn(n, d, a), _dterm_oracle(n, d, a, dir_family))
+                # d 8 and 10 at a = 10 sit in the band a large-a series left uncovered.
+                for d in (2, 3, 4, 6, 8, 10):
+                    for a in (1e-3, 0.05, 1.0, 10.0, 30.0, 1e3):
+                        # The d terms cancel by up to ~1e30 at d = 10, a = 1e3.
+                        err = _rel_err(fn(n, d, a), _dterm_oracle(n, d, a, dir_family, dps=80))
                         assert err <= exact_mod.PN_REL_TOL, (fn.__name__, n, d, a, err)
 
     def test_former_dir_faults(self):
@@ -349,11 +351,15 @@ class TestDefaultRoute:
                             value = fn(n, d, a)
                             assert abs(value - limit) <= exact_mod.PN_REL_TOL * limit, (fn.__name__, n, d, a)
 
-    def test_quadrature_raises_when_unconverged(self):
-        # dir at a = 1e-3 puts the integrand's feature below the smallest
-        # node; quadrature must raise, not return its guess.
+    def test_quadrature_raises_when_unconverged(self, monkeypatch):
+        # Capped at 256 intervals the rule cannot reach PN_REL_TOL at
+        # dir(200, 6, 1000); it must raise, not return its guess.
+        monkeypatch.setattr(exact_mod, "_QUAD_MAX_INTERVALS", 256)
         with pytest.raises(PrecisionLossError):
-            _quadrature(100, 3, 1e-3, True)
+            _quadrature(200, 6, 1000.0, True)
+        monkeypatch.setattr(exact_mod, "_QUAD_MAX_INTERVALS", 512)
+        exact = float(pn_marginal_dirichlet_exact(200, 6, 1000.0))
+        assert abs(_quadrature(200, 6, 1000.0, True) - exact) <= exact_mod.PN_REL_TOL * exact
 
     def test_strictly_monotone_across_the_switch(self):
         # n = 30 sweeps in a cross the d-term / quadrature switch (a ~ 22-44 here).
@@ -418,12 +424,14 @@ class TestArrayRoute:
         assert len(seen) > 1  # one call per block that has such points
         assert np.array_equal(np.concatenate(seen), uncertified)
 
-    def test_quadrature_raises_for_the_first_unconverged_point(self):
-        a = np.array([1.0, 1e-3, 2e-3])
+    def test_quadrature_raises_for_the_first_unconverged_point(self, monkeypatch):
+        # Capped at 256 intervals, dir(200, 6, a) converges at a = 1 only.
+        monkeypatch.setattr(exact_mod, "_QUAD_MAX_INTERVALS", 256)
+        a = np.array([1.0, 1000.0, 500.0])
         with pytest.raises(PrecisionLossError) as batch:
-            exact_mod._pn_quadrature(100, 3, a, a + 2.0)
+            exact_mod._pn_quadrature(200, 6, a, a + 5.0)
         with pytest.raises(PrecisionLossError) as alone:
-            exact_mod._pn_quadrature(100, 3, a[1:2], a[1:2] + 2.0)
+            exact_mod._pn_quadrature(200, 6, a[1:2], a[1:2] + 5.0)
         assert str(batch.value) == str(alone.value)
 
     def test_scalar_in_float_out(self):
@@ -454,25 +462,23 @@ class TestArrayRoute:
         assert peak <= 2 * 2**20, peak
 
 
-class TestGaussLaguerre:
-    def test_matches_scipy_rule(self):
-        # scipy's rule is accurate up to a few hundred nodes.
-        from scipy.special import roots_laguerre
+class TestQuadrature:
+    """The trapezoidal rule in ln y alone, the fallback of the float route."""
 
-        for m in (64, 300):
-            t, w = exact_mod._gauss_laguerre(m)
-            rt, rw = roots_laguerre(m)
-            assert np.allclose(t, rt, rtol=1e-11, atol=0)
-            kept = rw > 1e-250
-            assert np.allclose(w[kept], rw[kept], rtol=1e-11, atol=0)
+    # Small-a dir points where the former Gauss-Laguerre rule raised: its
+    # smallest node lay above the integrand's feature.
+    SMALL_A_DIR = [(n, d, a) for n in (2, 31, 100, 200) for d in (2, 6, 10) for a in (1e-3, 1e-2)]
 
-    def test_moments_at_large_rules(self):
-        # sum_i w_i t_i^j = j! for j < 2m; the weights of the large nodes count most.
-        for m in (1024, 2048):
-            t, w = exact_mod._gauss_laguerre(m)
-            assert np.all(w >= 0)
-            for j in (0, 1, 5, 20, 40):
-                assert abs(np.sum(w * t**j) / math.factorial(j) - 1) <= 1e-12, (m, j)
+    def test_small_a_dir_against_exact(self):
+        for n, d, a in self.SMALL_A_DIR:
+            exact = float(pn_marginal_dirichlet_exact(n, d, a))
+            assert abs(_quadrature(n, d, a, True) - exact) <= exact_mod.PN_REL_TOL * exact, (n, d, a)
+
+    def test_pa_d2_a1_closed_form(self):
+        # Z ~ Beta(1, 2): p_n = E(1 - Z)^(n-1) = 2 / (n + 1).
+        for n in (2, 10, 10**4, 10**8, 10**12, 10**18):
+            ref = 2 / (n + 1)
+            assert abs(_quadrature(n, 2, 1.0, False) - ref) <= exact_mod.PN_REL_TOL * ref, n
 
 
 class TestLogBetaHelper:

@@ -239,12 +239,6 @@ class TestSweep:
             assert r.error is None
             assert abs(r.sigma_gap) < 5.0
 
-    def test_n_grid(self):
-        rows = sweep("iid-exp", n_values=[1, 2, 5, 10], d=3)
-        vals = [r.exact for r in rows]
-        assert vals[0] == 1.0
-        assert all(x > y for x, y in zip(vals, vals[1:]))
-
     def test_failed_row_marked_not_raised(self):
         rows = sweep("dir", a_values=[1.0, -1.0, 2.0], n=3, d=2)
         assert rows[0].error is None and rows[2].error is None
@@ -256,9 +250,9 @@ class TestSweep:
         assert rows[1].error == f"{exc.type.__name__}: {exc.value}"
 
     def test_unconverged_row_marked_not_raised(self, monkeypatch):
-        # Capped at 256 nodes, the quadrature cannot certify dir(200, 6, 1000);
+        # Capped at 256 intervals, the quadrature cannot certify dir(200, 6, 1000);
         # the d-term sum certifies the two other points.
-        monkeypatch.setattr(exact_mod, "_QUAD_MAX_NODES", 256)
+        monkeypatch.setattr(exact_mod, "_QUAD_MAX_INTERVALS", 256)
         rows = sweep("dir", a_values=[0.5, 1000.0, 2.0], n=200, d=6)
         with pytest.raises(PrecisionLossError) as exc:
             pn_marginal_dirichlet(200, 6, 1000.0)
@@ -282,9 +276,9 @@ class TestSweep:
 
     def test_grid_validation(self):
         with pytest.raises(InvalidParameterError):
-            sweep("dir", n=3, d=2)
+            sweep("dir", a_values=[], n=3, d=2)
         with pytest.raises(InvalidParameterError):
-            sweep("dir", a_values=[1.0], n_values=[2], d=2)
+            sweep("iid-exp", a_values=[1.0], n=2, d=2)
         with pytest.raises(InvalidParameterError):
             sweep("nope", a_values=[1.0], n=2, d=2)
 
