@@ -261,8 +261,9 @@ def _rel_err(value, ref):
 
 FAMILIES = [(pn_marginal_dirichlet, True), (pn_scale_mixture, False)]
 
-# Quadrature of the dir integrand misses a relative 1e-6 at these points
-# (by 4e-5 to 7e-4): its feature at small a lies below the smallest node.
+# The Gauss-Laguerre rule once used here missed a relative 1e-6 at these
+# points (by 4e-5 to 7e-4): the dir integrand's feature at small a lay below
+# its smallest node.
 FORMER_DIR_FAULTS = [
     (31, 2, 1e-3),
     (100, 3, 1e-3),
@@ -433,6 +434,7 @@ class TestArrayRoute:
         with pytest.raises(PrecisionLossError) as alone:
             exact_mod._pn_quadrature(200, 6, a[1:2], a[1:2] + 5.0)
         assert str(batch.value) == str(alone.value)
+        assert "a=1000.0" in str(batch.value)
 
     def test_scalar_in_float_out(self):
         assert type(pn_marginal_dirichlet(5, 3, 0.5)) is float
