@@ -43,8 +43,9 @@ print(" record, so the estimate is exactly 1 with zero standard error.)\n")
 
 print("Survival-weighted estimator removes the indicator noise:")
 spec = MarginalDirichlet(2, 1.0)
-ind = estimate_record_prob(ExperimentConfig(spec, 5, REPS, SEED))
-smooth = estimate_record_prob_survival(spec, 5, REPS, SEED)
+config = ExperimentConfig(spec, 5, REPS, SEED)
+ind = estimate_record_prob(config)
+smooth = estimate_record_prob_survival(config)
 print(f"  indicator:  {ind.point:.6f} +- {ind.std_error:.6f}")
 print(f"  survival:   {smooth.point:.6f} +- {smooth.std_error:.6f}")
 print(f"  variance ratio: {(smooth.std_error / ind.std_error) ** 2:.3f}\n")

@@ -9,6 +9,7 @@ maxima in dimension d to records in dimension d-1.
 """
 
 from paretorecords import (
+    ExperimentConfig,
     ExponentialScaleMixture,
     IidExponential,
     MarginalDirichlet,
@@ -58,7 +59,7 @@ for spec in (IidExponential(2), MarginalDirichlet(2, 2.0), ExponentialScaleMixtu
 print("\nConcomitant identity: maxima count in d dims = record count of the")
 print("first d-1 coordinates after sorting by the dropped coordinate\n")
 for spec, n in ((IidExponential(2), 50), (MarginalDirichlet(3, 2.0), 30)):
-    result = concomitant_check(spec, n=n, reps=30_000, seed=24)
+    result = concomitant_check(ExperimentConfig(spec, n=n, reps=30_000, seed=24))
     print(
         f"  {type(spec).__name__:<28} n={n:3d}  chi2 = {result.statistic:6.2f}"
         f"  dof = {result.dof:2d}  p = {result.pvalue:.3f}"

@@ -23,7 +23,6 @@ from .exact import (
     pn_scale_mixture,
     pn_scale_mixture_exact,
     roman_harmonic,
-    roman_harmonic_direct,
     survival,
 )
 from .frontier import (
@@ -119,7 +118,6 @@ __all__ = [
     "pn_scale_mixture_exact",
     "records_bruteforce",
     "roman_harmonic",
-    "roman_harmonic_direct",
     "run_stream",
     "sample_observations",
     "simulate_trajectory",

@@ -187,14 +187,12 @@ def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     seed = _resolve_seed(args)
     t0 = time.perf_counter()
+    config = ExperimentConfig(spec, args.n, args.reps, seed, args.workers)
     if args.estimand == "pn":
-        if args.estimator == "survival":
-            est = estimate_record_prob_survival(spec, args.n, args.reps, seed, args.workers)
-        else:
-            est = estimate_record_prob(ExperimentConfig(spec, args.n, args.reps, seed, args.workers))
-        estimates = [("pn", args.estimator, est)]
+        estimate_pn = estimate_record_prob_survival if args.estimator == "survival" else estimate_record_prob
+        estimates = [("pn", args.estimator, estimate_pn(config))]
     else:
-        result = estimate_maxima(ExperimentConfig(spec, args.n, args.reps, seed, args.workers))
+        result = estimate_maxima(config)
         estimates = [("records_mean", "indicator", result.records), ("maxima_mean", "indicator", result.maxima)]
     rows = []
     for estimand, estimator, est in estimates:
@@ -212,7 +210,7 @@ def _cmd_simulate(args) -> int:
         )
         rows.append(row)
     if args.emit_trajectory:
-        _write_trajectory(args.emit_trajectory, spec, args.n, seed)
+        _write_trajectory(args.emit_trajectory, config)
     emit_rows(rows, args.out, args.out_file)
     print(f"elapsed {time.perf_counter() - t0:.3f} s", file=sys.stderr)
     return EXIT_OK
@@ -227,9 +225,9 @@ def spec_to_json_flat(spec: DistributionSpec) -> dict:
     return {k: ",".join(repr(x) for x in v) if isinstance(v, list) else v for k, v in obj.items()}
 
 
-def _write_trajectory(path: str, spec, n: int, seed: int) -> None:
+def _write_trajectory(path: str, config: ExperimentConfig) -> None:
     # One stream (stream index 0), one row per step: step, is_record, broken, r_n.
-    result = simulate_trajectory(spec, n, make_rng(seed, 0))
+    result = simulate_trajectory(config.spec, config.n, make_rng(config.seed, 0))
     running = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -383,11 +381,11 @@ def _check_p2(args, seed: int) -> dict:
 
 
 def _check_concomitant(args, seed: int) -> dict:
-    spec = _spec_from_args(args)
-    result = concomitant_check(spec, args.n, args.reps, seed, args.workers)
+    config = ExperimentConfig(_spec_from_args(args), args.n, args.reps, seed, args.workers)
+    result = concomitant_check(config)  # positional: bench/spans.py reads one argument as a config
     return {
         "check": "concomitant",
-        "spec": json.dumps(spec.to_json()),
+        "spec": json.dumps(config.spec.to_json()),
         "n": args.n,
         "reps": args.reps,
         "statistic": result.statistic,

@@ -59,7 +59,7 @@ import numpy as np
 from scipy.special import digamma, gammaln, zeta
 
 from .errors import DimensionMismatchError, InvalidParameterError, PrecisionLossError
-from .model import DistributionSpec
+from .model import DistributionSpec, _require_int
 
 __all__ = [
     "pn_independent",
@@ -69,7 +69,6 @@ __all__ = [
     "pn_scale_mixture",
     "pn_scale_mixture_exact",
     "roman_harmonic",
-    "roman_harmonic_direct",
     "survival",
 ]
 
@@ -100,14 +99,6 @@ _PN_BLOCK_BUDGET = 1 << 15
 _ROMAN_EXACT: dict[int, list[Fraction]] = {}
 
 
-def _check_nk(n, k) -> tuple[int, int]:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise InvalidParameterError(f"k must be an integer >= 0, got {k!r}")
-    return int(n), int(k)
-
-
 def roman_harmonic(n: int, k: int) -> Fraction:
     """Roman harmonic number H_n^(k) as an exact rational.
 
@@ -116,10 +107,10 @@ def roman_harmonic(n: int, k: int) -> Fraction:
 
         H_n^(0) = 1,      H_n^(k) = sum_{j=1..n} H_j^(k-1) / j,
 
-    which agrees with the direct sum (see :func:`roman_harmonic_direct`) but
-    stays exact and fast for large n. H_n^(1) is the ordinary harmonic number.
+    which agrees with the direct sum but stays exact and fast for large n.
+    H_n^(1) is the ordinary harmonic number.
     """
-    n, k = _check_nk(n, k)
+    n, k = _require_int(n, 1, "n"), _require_int(k, 0, "k")
     if k == 0:
         return Fraction(1)
     col = _roman_column_exact(k, n)
@@ -142,25 +133,10 @@ def _roman_column_exact(k: int, n: int) -> list[Fraction]:
     return col
 
 
-def roman_harmonic_direct(n: int, k: int) -> Fraction:
-    """H_n^(k) by the defining alternating sum, term by term, in rationals.
-
-    Exponentially slower than :func:`roman_harmonic` for large n; kept as an
-    independent cross-check of the recurrence.
-    """
-    n, k = _check_nk(n, k)
-    return sum(
-        (Fraction((-1) ** (j - 1) * math.comb(n, j), j**k) for j in range(1, n + 1)),
-        Fraction(0),
-    )
-
-
 def pn_independent_exact(n: int, d: int) -> Fraction:
     """Record probability for independent coordinates, exact: H_n^(d-1) / n."""
-    n, _ = _check_nk(n, 0)
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
-    return roman_harmonic(n, int(d) - 1) / n
+    n, d = _require_int(n, 1, "n"), _require_int(d, 1, "d")
+    return roman_harmonic(n, d - 1) / n
 
 
 # Below this n, pn_independent sums the power sums term by term.
@@ -177,10 +153,8 @@ def pn_independent(n: int, d: int) -> float:
     every term positive. P_1 = psi(n+1) + gamma and P_i = zeta(i) - zeta(i, n+1)
     (summed directly for small n). Accurate to ~1e-14 relative.
     """
-    n, _ = _check_nk(n, 0)
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
-    k = int(d) - 1
+    n, d = _require_int(n, 1, "n"), _require_int(d, 1, "d")
+    k = d - 1
     orders = np.arange(1.0, k + 1)
     if n < _POWER_SUM_DIRECT_N:
         j = np.arange(float(n), 0.0, -1.0)  # smallest terms first
@@ -212,10 +186,7 @@ def _beta_moment_fraction(a: Fraction, d: int, s: Fraction) -> Fraction:
 def _check_nda(n, d, a) -> tuple[int, int, np.ndarray]:
     # a may be a scalar (returned as a 0-d array) or a 1-D array; a bad
     # point is named as it was passed.
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidParameterError(f"d must be an integer >= 2, got {d!r}")
+    n, d = _require_int(n, 1, "n"), _require_int(d, 2, "d")
     scalar = isinstance(a, float) or np.ndim(a) == 0
     av = np.array(float(a)) if scalar else np.asarray(a, dtype=float)
     if av.ndim > 1:
@@ -223,7 +194,7 @@ def _check_nda(n, d, a) -> tuple[int, int, np.ndarray]:
     for v in av.reshape(-1).tolist():
         if not 0.0 < v < math.inf:
             raise InvalidParameterError(f"a must be finite and > 0, got {a if scalar else v!r}")
-    return int(n), int(d), av
+    return n, d, av
 
 
 def _pn_exact(n: int, d: int, a, dir_family: bool) -> Fraction:

@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
+from .model import _require_int
 
 __all__ = [
     "Frontier2D",
@@ -67,9 +68,7 @@ class GenericFrontier:
     __slots__ = ("d", "records_total", "_buf", "_size")
 
     def __init__(self, d: int):
-        if not isinstance(d, (int, np.integer)) or d < 1:
-            raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
-        self.d = int(d)
+        self.d = _require_int(d, 1, "d")
         self.records_total = 0
         self._buf = np.empty((16, self.d))
         self._size = 0
@@ -172,17 +171,23 @@ def make_frontier(d: int):
     return Frontier2D() if d == 2 else GenericFrontier(d)
 
 
+def _as_stream(observations) -> np.ndarray:
+    # An (n, d) float array of the observations; a 1-D sequence is n points of dimension 1.
+    obs = np.asarray(observations, dtype=np.float64)
+    if obs.ndim == 1:
+        obs = obs[:, None]
+    if obs.ndim != 2 or obs.shape[0] == 0:
+        raise InvalidParameterError(f"observations must form a nonempty (n, d) array, got shape {obs.shape}")
+    return obs
+
+
 def run_stream(observations, frontier=None) -> StreamResult:
     """Insert every observation in order; return per-step outcomes and totals.
 
     ``observations`` is an (n, d) array or a sequence of length-d vectors,
     all of one dimension. A caller-supplied ``frontier`` lets streams resume.
     """
-    obs = np.asarray(observations, dtype=np.float64)
-    if obs.ndim == 1:
-        obs = obs[:, None]
-    if obs.ndim != 2 or obs.shape[0] == 0:
-        raise InvalidParameterError(f"observations must form a nonempty (n, d) array, got shape {obs.shape}")
+    obs = _as_stream(observations)
     if frontier is None:
         frontier = make_frontier(obs.shape[1])
     elif frontier.d != obs.shape[1]:
@@ -198,11 +203,7 @@ def records_bruteforce(observations) -> tuple[np.ndarray, int]:
     frontier), which makes it the reference the incremental structures are
     validated against.
     """
-    obs = np.asarray(observations, dtype=np.float64)
-    if obs.ndim == 1:
-        obs = obs[:, None]
-    if obs.ndim != 2 or obs.shape[0] == 0:
-        raise InvalidParameterError(f"observations must form a nonempty (n, d) array, got shape {obs.shape}")
+    obs = _as_stream(observations)
     # dom[i, j] == True iff point i weakly dominates point j; built one
     # coordinate at a time, so no (n, n, d) array is formed.
     dom = obs[:, None, 0] >= obs[None, :, 0]

@@ -63,12 +63,12 @@ __all__ = [
 MAX_MIXTURE_DEPTH = 4
 
 
-def _require_dim(d, minimum: int, field: str = "d") -> int:
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
-        raise InvalidParameterError(f"{field} must be an integer, got {d!r}")
-    if d < minimum:
-        raise InvalidParameterError(f"{field} must be >= {minimum}, got {d}")
-    return int(d)
+def _require_int(value, minimum: int, field: str) -> int:
+    """``value`` as an int, or InvalidParameterError if it is a bool, not an
+    integer, or below ``minimum``; the one integer check of the package."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise InvalidParameterError(f"{field} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _require_positive(x, field: str) -> float:
@@ -142,7 +142,7 @@ class IidExponential(DistributionSpec):
     family = "iid-exp"
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _require_dim(self.d, 1))
+        object.__setattr__(self, "d", _require_int(self.d, 1, "d"))
 
     def sample(self, m, rng):
         """One block of m*d exponentials."""
@@ -173,7 +173,7 @@ class MarginalDirichlet(DistributionSpec):
     family = "dir"
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _require_dim(self.d, 2))
+        object.__setattr__(self, "d", _require_int(self.d, 2, "d"))
         object.__setattr__(self, "a", _require_positive(self.a, "a"))
 
     def sample(self, m, rng):
@@ -207,7 +207,7 @@ class ExponentialScaleMixture(DistributionSpec):
     family = "pa"
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _require_dim(self.d, 2))
+        object.__setattr__(self, "d", _require_int(self.d, 2, "d"))
         object.__setattr__(self, "a", _require_positive(self.a, "a"))
 
     def sample(self, m, rng):
@@ -290,7 +290,7 @@ class Comonotone(DistributionSpec):
     family = "comonotone"
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _require_dim(self.d, 1))
+        object.__setattr__(self, "d", _require_int(self.d, 1, "d"))
 
     def sample(self, m, rng):
         """m exponentials, each repeated across the d coordinates."""
@@ -396,9 +396,13 @@ def validate(spec: DistributionSpec) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of one Monte Carlo experiment.
+    """Parameters of one Monte Carlo experiment, validated on construction.
 
-    ``workers`` is a scheduling hint only; results never depend on it.
+    The one argument of the four Monte Carlo entry points of ``simulate``
+    (``estimate_record_prob``, ``estimate_record_prob_survival``,
+    ``estimate_maxima`` and ``concomitant_check``); ``sweep`` builds one per
+    row it estimates. ``workers`` is a scheduling hint only; results never
+    depend on it.
     """
 
     spec: DistributionSpec
@@ -409,9 +413,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         validate(self.spec)
-        object.__setattr__(self, "n", _require_dim(self.n, 1, "n"))
-        object.__setattr__(self, "reps", _require_dim(self.reps, 1, "reps"))
+        object.__setattr__(self, "n", _require_int(self.n, 1, "n"))
+        object.__setattr__(self, "reps", _require_int(self.reps, 1, "reps"))
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
             raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "workers", _require_dim(self.workers, 1, "workers"))
+        object.__setattr__(self, "workers", _require_int(self.workers, 1, "workers"))

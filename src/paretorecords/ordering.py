@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .exact import survival
-from .model import DistributionSpec, validate
+from .model import DistributionSpec, _require_int, validate
 from .samplers import sample_observations
 
 __all__ = [
@@ -119,8 +119,7 @@ def survival_transform(
     The transform itself is exact; only the sampled points carry noise.
     Raises UnsupportedSpecError for families without closed-form survival.
     """
-    if samples < 1:
-        raise InvalidParameterError(f"samples must be >= 1, got {samples}")
+    samples = _require_int(samples, 1, "samples")
     validate(spec)
     survival(spec, np.zeros(spec.dim))  # fail fast on unsupported specs
     x = sample_observations(spec, samples, rng)
@@ -268,8 +267,7 @@ def check_nuod(
         raise InvalidParameterError(
             f"probes have dimension {probes.shape[1]}, spec has {spec.dim}"
         )
-    if samples < 2:
-        raise InvalidParameterError(f"samples must be >= 2, got {samples}")
+    samples = _require_int(samples, 2, "samples")
     x = sample_observations(spec, samples, rng)
     joint_hits, marginal_hits = _exceedance_counts(x, probes)
     joint = joint_hits / samples
@@ -298,8 +296,7 @@ def check_p2_bound(
     validate(spec)
     if spec.dim < 2:
         raise InvalidParameterError("p_2 bound check needs dimension >= 2")
-    if reps < 2:
-        raise InvalidParameterError(f"reps must be >= 2, got {reps}")
+    reps = _require_int(reps, 2, "reps")
     first = sample_observations(spec, reps, rng)
     second = sample_observations(spec, reps, rng)
     dominated = second[:, 0] <= first[:, 0]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .model import DistributionSpec, validate
+from .model import DistributionSpec, _require_int, validate
 
 __all__ = ["make_rng", "sample_observations"]
 
@@ -44,6 +44,4 @@ def sample_observations(spec: DistributionSpec, count: int, rng: np.random.Gener
     documented on its ``sample`` method.
     """
     validate(spec)
-    if count < 1:
-        raise InvalidParameterError(f"count must be >= 1, got {count}")
-    return spec.sample(int(count), rng)
+    return spec.sample(_require_int(count, 1, "count"), rng)

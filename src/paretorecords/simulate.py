@@ -11,6 +11,9 @@ large blocks.
 
 Estimators
 ----------
+Each of the four takes one validated :class:`~paretorecords.model.ExperimentConfig`
+(spec, n, reps, seed, workers).
+
 * :func:`estimate_record_prob` -- indicator estimator: the fraction of
   replicates whose n-th observation is a record (binomial standard error).
   The dominance mask of a chunk is built one coordinate at a time, so it
@@ -22,8 +25,10 @@ Estimators
   frontier size E r_n, with the identity E r_n = n p_n checked on the side.
 * :func:`concomitant_check` -- compares the distribution of the maxima count
   in dimension d with the record count in dimension d-1 (they agree for any
-  continuous law: sort the stream by the dropped coordinate).
-* :func:`sweep` -- grids over a combining exact values and estimates.
+  continuous law: sort the stream by the dropped coordinate); it also
+  needs d >= 2 and reps >= 2.
+* :func:`sweep` -- grids over a combining exact values and estimates; each
+  row with an estimate builds its own config.
 
 Maxima fold
 -----------
@@ -51,7 +56,7 @@ from scipy.special import chdtrc
 from .errors import InvalidParameterError
 from .exact import pn_independent, pn_marginal_dirichlet, pn_scale_mixture, survival
 from .frontier import StreamResult, make_frontier, run_stream
-from .model import DistributionSpec, ExperimentConfig, spec_from_json, validate
+from .model import DistributionSpec, ExperimentConfig, spec_from_json
 from .samplers import make_rng, sample_observations
 
 __all__ = [
@@ -183,7 +188,7 @@ def estimate_record_prob(config: ExperimentConfig, *, _stream_base: int = 0) -> 
     t0 = time.perf_counter()
     spec, n, reps = config.spec, config.n, config.reps
     d = spec.dim
-    rows = max(1, _INDICATOR_BUDGET // max(n, 1))
+    rows = max(1, _INDICATOR_BUDGET // n)
 
     def job(stream: int, m: int) -> int:
         if n == 1:
@@ -203,15 +208,7 @@ def estimate_record_prob(config: ExperimentConfig, *, _stream_base: int = 0) -> 
     return EstimateWithCI(p, se, reps, config.seed, time.perf_counter() - t0)
 
 
-def estimate_record_prob_survival(
-    spec: DistributionSpec,
-    n: int,
-    reps: int,
-    seed: int = 0,
-    workers: int = 1,
-    *,
-    _stream_base: int = 0,
-) -> EstimateWithCI:
+def estimate_record_prob_survival(config: ExperimentConfig, *, _stream_base: int = 0) -> EstimateWithCI:
     """Survival-weighted estimator: average (1 - S(X))^(n-1) over draws of X.
 
     Conditioning on the observation removes the indicator's Bernoulli noise,
@@ -220,12 +217,12 @@ def estimate_record_prob_survival(
     variance). Requires a closed-form survival; one observation per
     replicate.
     """
-    config = ExperimentConfig(spec, n, reps, seed, workers)
+    spec, n, reps = config.spec, config.n, config.reps
     survival(spec, np.zeros(spec.dim))  # raises UnsupportedSpecError early
     t0 = time.perf_counter()
 
     def job(stream: int, m: int) -> tuple[float, float]:
-        rng = make_rng(seed, _stream_base + stream)
+        rng = make_rng(config.seed, _stream_base + stream)
         x = sample_observations(spec, m, rng)
         w = (1.0 - survival(spec, x)) ** (n - 1)
         return float(w.sum()), float(np.square(w).sum())
@@ -235,7 +232,7 @@ def estimate_record_prob_survival(
     total_sq = sum(p[1] for p in parts)
     mean = total / reps
     var = max(total_sq - total * total / reps, 0.0) / max(reps - 1, 1)
-    return EstimateWithCI(mean, math.sqrt(var / reps), reps, seed, time.perf_counter() - t0)
+    return EstimateWithCI(mean, math.sqrt(var / reps), reps, config.seed, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +366,7 @@ def estimate_maxima(config: ExperimentConfig, *, _stream_base: int = 0) -> Maxim
     t0 = time.perf_counter()
     spec, n, reps = config.spec, config.n, config.reps
     d = spec.dim
-    rows = max(1, _MAXIMA_BUDGET // max(n, 1))
+    rows = max(1, _MAXIMA_BUDGET // n)
 
     def job(stream: int, m: int):
         rng = make_rng(config.seed, _stream_base + stream)
@@ -436,13 +433,7 @@ def concomitant_records(block: np.ndarray) -> np.ndarray:
     return _stream_counts(rest)[1]
 
 
-def concomitant_check(
-    spec: DistributionSpec,
-    n: int,
-    reps: int,
-    seed: int = 0,
-    workers: int = 1,
-) -> ConcomitantResult:
+def concomitant_check(config: ExperimentConfig) -> ConcomitantResult:
     """Two-sample chi-square between r_{n,d} and the concomitant R_{n,d-1}.
 
     Sorting a stream by its last coordinate turns the d-dimensional maxima
@@ -454,13 +445,13 @@ def concomitant_check(
     (a running maximum for d = 2, the streaming frontiers of ``frontier``
     beyond), so the test cross-validates both.
     """
-    validate(spec)
+    spec, n, reps, seed = config.spec, config.n, config.reps, config.seed
     d = spec.dim
     if d < 2:
         raise InvalidParameterError("concomitant check needs dimension >= 2")
-    if n < 1 or reps < 2:
-        raise InvalidParameterError("need n >= 1 and reps >= 2")
-    rows = max(1, _MAXIMA_BUDGET // max(n, 1))
+    if reps < 2:
+        raise InvalidParameterError(f"concomitant check needs reps >= 2, got {reps}")
+    rows = max(1, _MAXIMA_BUDGET // n)
 
     def job_maxima(stream: int, m: int) -> np.ndarray:
         rng = make_rng(seed, stream)
@@ -474,8 +465,8 @@ def concomitant_check(
         return np.bincount(concomitant_records(block))
 
     jobs = _chunk_jobs(reps, rows)
-    hist_r = _sum_histograms(_run_chunks(job_maxima, jobs, workers))
-    hist_big_r = _sum_histograms(_run_chunks(job_records, jobs, workers))
+    hist_r = _sum_histograms(_run_chunks(job_maxima, jobs, config.workers))
+    hist_big_r = _sum_histograms(_run_chunks(job_records, jobs, config.workers))
     stat, dof, pvalue = _chi2_two_sample(hist_r, hist_big_r)
     return ConcomitantResult(hist_r, hist_big_r, stat, dof, pvalue, reps, seed)
 
@@ -583,16 +574,9 @@ def sweep(
             exact = exact_column[idx] if exact_column is not None else EXACT_PN[family](n, d, aa)
             estimate = std_error = sigma_gap = None
             if reps > 0:
-                spec = spec_from_json({"family": family, "d": d, "a": aa})
-                base = (idx + 1) * _PHASE_STRIDE
-                if estimator == "survival":
-                    est = estimate_record_prob_survival(
-                        spec, n, reps, seed, workers, _stream_base=base
-                    )
-                else:
-                    est = estimate_record_prob(
-                        ExperimentConfig(spec, n, reps, seed, workers), _stream_base=base
-                    )
+                config = ExperimentConfig(spec_from_json({"family": family, "d": d, "a": aa}), n, reps, seed, workers)
+                fn = estimate_record_prob_survival if estimator == "survival" else estimate_record_prob
+                est = fn(config, _stream_base=(idx + 1) * _PHASE_STRIDE)
                 estimate, std_error = est.point, est.std_error
                 if std_error > 0:
                     sigma_gap = (estimate - exact) / std_error

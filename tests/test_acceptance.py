@@ -179,7 +179,7 @@ def test_criterion_08_concomitant_identity():
             (MarginalDirichlet(2, 2.0), MarginalDirichlet(3, 2.0)),
         ]:
             for spec, n in ((spec2, 50), (spec3, 30)):
-                result = concomitant_check(spec, n=n, reps=100_000, seed=104, workers=4)
+                result = concomitant_check(ExperimentConfig(spec, n=n, reps=100_000, seed=104, workers=4))
                 assert result.pvalue >= 1e-3, (spec, n, result.pvalue, result.statistic)
 
 

@@ -363,6 +363,13 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert json.loads(out)["pvalue"] >= 1e-3
 
+    @pytest.mark.parametrize("subcommand", [["check", "--check", "concomitant"], ["simulate"]])
+    def test_zero_workers_exit_3(self, capsys, subcommand):
+        code, out, err = run_cli(
+            capsys, *subcommand, "--family", "iid-exp", "--d", "2", "--n", "5", "--reps", "100", "--workers", "0",
+        )
+        assert code == EXIT_PARAMETER
+        assert out == "" and "workers must be an integer >= 1" in err
 
 def test_import_loads_no_scipy_stats_or_linalg():
     # Every command pays the package import, and scipy.stats alone takes most

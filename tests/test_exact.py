@@ -28,7 +28,6 @@ from paretorecords import (
     pn_scale_mixture,
     pn_scale_mixture_exact,
     roman_harmonic,
-    roman_harmonic_direct,
     survival,
 )
 from paretorecords.model import FAMILIES as FAMILY_CLASSES
@@ -42,6 +41,15 @@ def _timed(fn, *args):
     t0 = time.perf_counter()
     fn(*args)
     return time.perf_counter() - t0
+
+
+def roman_harmonic_direct(n: int, k: int) -> Fraction:
+    """H_n^(k) by the defining alternating sum, term by term, in rationals:
+    the oracle of the recurrence in ``roman_harmonic``."""
+    return sum(
+        (Fraction((-1) ** (j - 1) * math.comb(n, j), j**k) for j in range(1, n + 1)),
+        Fraction(0),
+    )
 
 
 class TestRomanHarmonic:
@@ -67,6 +75,9 @@ class TestRomanHarmonic:
             roman_harmonic(0, 1)
         with pytest.raises(InvalidParameterError):
             roman_harmonic(3, -1)
+        for n, k in ((True, 1), (3, True), (2.5, 1), (3, 1.0)):
+            with pytest.raises(InvalidParameterError):
+                roman_harmonic(n, k)
 
 
 class TestIndependentCoordinates:
@@ -74,6 +85,13 @@ class TestIndependentCoordinates:
         for d in range(1, 6):
             assert pn_independent(1, d) == 1.0
             assert pn_independent_exact(1, d) == 1
+
+    def test_validation(self):
+        # A bool is no integer here: pn_independent(3, True) must not be p_3 at d = 1.
+        for fn in (pn_independent, pn_independent_exact):
+            for n, d in ((0, 2), (3, 0), (True, 2), (3, True), (2.5, 2), (3, 2.0)):
+                with pytest.raises(InvalidParameterError):
+                    fn(n, d)
 
     def test_two_observations_closed_form(self):
         for d in range(1, 11):
@@ -240,6 +258,10 @@ class TestFamilyProbabilities:
             pn_marginal_dirichlet(2, 1, 1.0)
         with pytest.raises(InvalidParameterError):
             pn_scale_mixture(2, 2, 0.0)
+        for fn in (pn_marginal_dirichlet, pn_marginal_dirichlet_exact, pn_scale_mixture, pn_scale_mixture_exact):
+            for n, d in ((True, 2), (2, True), (2.5, 2), (2, 3.0)):
+                with pytest.raises(InvalidParameterError):
+                    fn(n, d, 1.0)
 
 
 def _dterm_oracle(n, d, a, dir_family, dps=40):

@@ -64,8 +64,9 @@ class TestInsertExamples:
             GenericFrontier(3).insert([1.0, 2.0])
         with pytest.raises(DimensionMismatchError):
             Frontier2D().insert([1.0, 2.0, 3.0])
-        with pytest.raises(InvalidParameterError):
-            GenericFrontier(0)
+        for d in (0, True, 2.5, 3.0):
+            with pytest.raises(InvalidParameterError):
+                GenericFrontier(d)
 
     def test_make_frontier_dispatch(self):
         assert isinstance(make_frontier(2), Frontier2D)
@@ -114,6 +115,8 @@ class TestRunStream:
     def test_empty_stream_rejected(self):
         with pytest.raises(InvalidParameterError):
             run_stream(np.zeros((0, 2)))
+        with pytest.raises(InvalidParameterError):
+            records_bruteforce(np.zeros((0, 2)))
 
     def test_comonotone_record_count_matches_harmonic(self):
         # All coordinates equal, so records are the univariate records and

@@ -81,6 +81,12 @@ class TestSurvivalTransform:
         with pytest.raises(UnsupportedSpecError):
             survival_transform(Dirichlet((1.0, 1.0)), 100, make_rng(0))
 
+    def test_count_validation(self):
+        # A fractional count would draw int(count) points and report the fraction as ``count``.
+        for samples in (0, True, 2.5, 2.0):
+            with pytest.raises(InvalidParameterError):
+                survival_transform(IidExponential(2), samples, make_rng(0))
+
 
 class TestRecordOrder:
     def test_identical_specs_indistinguishable(self):
@@ -202,6 +208,9 @@ class TestNuod:
     def test_probe_dimension_check(self):
         with pytest.raises(InvalidParameterError):
             check_nuod(IidExponential(2), [[0.1, 0.2, 0.3]], 100, make_rng(0))
+        for samples in (1, True, 2.5):
+            with pytest.raises(InvalidParameterError):
+                check_nuod(IidExponential(2), [[0.1, 0.2]], samples, make_rng(0))
 
     def test_block_size_does_not_change_result(self, monkeypatch):
         spec = MarginalDirichlet(3, 1.0)
@@ -277,6 +286,9 @@ class TestP2Bound:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             check_p2_bound(IidExponential(1), 100, make_rng(0))
+        for reps in (1, True, 2.5):
+            with pytest.raises(InvalidParameterError):
+                check_p2_bound(IidExponential(2), reps, make_rng(0))
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_record_flag_matches_bruteforce_with_ties(self, d, monkeypatch):

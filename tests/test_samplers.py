@@ -266,6 +266,9 @@ class TestObservationSampling:
     def test_count_validation(self):
         with pytest.raises(InvalidParameterError):
             sample_observations(IidExponential(2), 0, make_rng(0))
+        for count in (True, 2.5, 2.0):
+            with pytest.raises(InvalidParameterError):
+                sample_observations(IidExponential(2), count, make_rng(0))
 
 
 class TestScaledLimits:

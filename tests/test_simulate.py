@@ -87,22 +87,22 @@ class TestIndicatorEstimator:
 
 class TestSurvivalEstimator:
     def test_matches_exact_marginal_dirichlet(self):
-        est = estimate_record_prob_survival(MarginalDirichlet(2, 1.0), 2, 100_000, seed=5)
+        est = estimate_record_prob_survival(ExperimentConfig(MarginalDirichlet(2, 1.0), 2, 100_000, seed=5))
         assert abs(est.point - 5.0 / 6.0) < 4.0 * est.std_error
 
     def test_matches_exact_scale_mixture(self):
-        est = estimate_record_prob_survival(ExponentialScaleMixture(2, 1.0), 2, 100_000, seed=6)
+        est = estimate_record_prob_survival(ExperimentConfig(ExponentialScaleMixture(2, 1.0), 2, 100_000, seed=6))
         assert abs(est.point - 2.0 / 3.0) < 4.0 * est.std_error
 
     def test_n1_zero_variance(self):
-        est = estimate_record_prob_survival(IidExponential(2), 1, 10_000, seed=7)
+        est = estimate_record_prob_survival(ExperimentConfig(IidExponential(2), 1, 10_000, seed=7))
         assert est.point == 1.0 and est.std_error == 0.0
 
     def test_variance_reduction(self):
         spec = MarginalDirichlet(2, 1.0)
         reps = 100_000
         indicator = estimate_record_prob(ExperimentConfig(spec, n=5, reps=reps, seed=8))
-        smoothed = estimate_record_prob_survival(spec, 5, reps, seed=8)
+        smoothed = estimate_record_prob_survival(ExperimentConfig(spec, 5, reps, seed=8))
         assert smoothed.std_error < indicator.std_error
 
     def test_agreement_between_estimators(self):
@@ -113,7 +113,7 @@ class TestSurvivalEstimator:
             (Comonotone(2), 6),
         ):
             a = estimate_record_prob(ExperimentConfig(spec, n=n, reps=100_000, seed=10))
-            b = estimate_record_prob_survival(spec, n, 100_000, seed=11)
+            b = estimate_record_prob_survival(ExperimentConfig(spec, n, 100_000, seed=11))
             joint = math.hypot(a.std_error, b.std_error)
             assert abs(a.point - b.point) < 4.0 * joint
 
@@ -134,11 +134,11 @@ class TestSurvivalEstimator:
 
     def test_unsupported_spec(self):
         with pytest.raises(UnsupportedSpecError):
-            estimate_record_prob_survival(Dirichlet((1.0, 1.0)), 2, 100, seed=0)
+            estimate_record_prob_survival(ExperimentConfig(Dirichlet((1.0, 1.0)), 2, 100, seed=0))
 
     def test_deterministic_across_workers(self):
         runs = [
-            estimate_record_prob_survival(MarginalDirichlet(2, 2.0), 4, 200_000, seed=12, workers=w)
+            estimate_record_prob_survival(ExperimentConfig(MarginalDirichlet(2, 2.0), 4, 200_000, seed=12, workers=w))
             for w in (1, 4)
         ]
         assert runs[0].point == runs[1].point
@@ -179,17 +179,17 @@ class TestMaximaEstimates:
 
 class TestConcomitant:
     def test_point_mass_at_n1(self):
-        result = concomitant_check(IidExponential(2), n=1, reps=1000, seed=17)
+        result = concomitant_check(ExperimentConfig(IidExponential(2), n=1, reps=1000, seed=17))
         assert result.statistic == 0.0 and result.dof == 0 and result.pvalue == 1.0
 
     def test_iid_d2_not_rejected(self):
-        result = concomitant_check(IidExponential(2), n=20, reps=20_000, seed=18)
+        result = concomitant_check(ExperimentConfig(IidExponential(2), n=20, reps=20_000, seed=18))
         assert result.pvalue >= 1e-3
         assert result.maxima_counts.sum() == 20_000
         assert result.record_counts.sum() == 20_000
 
     def test_marginal_dirichlet_d3(self):
-        result = concomitant_check(MarginalDirichlet(3, 2.0), n=15, reps=20_000, seed=19)
+        result = concomitant_check(ExperimentConfig(MarginalDirichlet(3, 2.0), n=15, reps=20_000, seed=19))
         assert result.pvalue >= 1e-3
 
     def test_sorted_record_count_equals_maxima_pathwise(self):
@@ -212,9 +212,12 @@ class TestConcomitant:
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            concomitant_check(IidExponential(1), n=5, reps=100, seed=0)
+            concomitant_check(ExperimentConfig(IidExponential(1), n=5, reps=100, seed=0))
         with pytest.raises(InvalidParameterError):
-            concomitant_check(IidExponential(2), n=0, reps=100, seed=0)
+            concomitant_check(ExperimentConfig(IidExponential(2), n=5, reps=1, seed=0))
+        for n, reps, workers in ((0, 100, 1), (5, 100, 0), (True, 100, 1), (5, 2.5, 1)):
+            with pytest.raises(InvalidParameterError):
+                concomitant_check(ExperimentConfig(IidExponential(2), n=n, reps=reps, seed=0, workers=workers))
 
 
 class TestSweep:
