@@ -6,6 +6,10 @@ probability that the n-th observation sets a record -- exactly for
 independent coordinates and for two parametric dependence families
 (marginalized Dirichlet, Exponential scale mixtures) -- and estimates it,
 along with record and maxima counts, by reproducible Monte Carlo.
+
+``scipy.special`` is imported inside the few functions that call it, so
+the package import, and every command that needs no special function,
+loads no part of scipy.
 """
 
 from .errors import (

@@ -56,7 +56,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import digamma, gammaln, zeta
 
 from .errors import DimensionMismatchError, InvalidParameterError, PrecisionLossError
 from .model import DistributionSpec, _require_int
@@ -160,6 +159,8 @@ def pn_independent(n: int, d: int) -> float:
         j = np.arange(float(n), 0.0, -1.0)  # smallest terms first
         power = (j ** -orders[:, None]).sum(axis=1)
     else:
+        from scipy.special import digamma, zeta
+
         nf = float(n)
         power = np.empty(k)
         power[:1] = digamma(nf + 1.0) + np.euler_gamma
@@ -289,6 +290,8 @@ def _log_beta_n(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         ratio = x[..., None] / np.arange(1.0, n)
         log_rise = np.log1p(ratio, out=ratio).sum(axis=-1)
         return -log_x - log_rise, np.abs(log_x) + log_rise
+    from scipy.special import gammaln
+
     nf = float(n)
     log_gamma = gammaln(x)
     log_rise = (nf - 0.5) * np.log1p(x / nf) + x * np.log(nf + x) - x + _stirling_tail(nf + x) - _stirling_tail(nf)
@@ -302,6 +305,8 @@ def _pn_beta_terms(n: int, d: int, a: np.ndarray, s: np.ndarray) -> tuple[np.nda
     at once and summed per point with ``math.fsum``; a point's bound is inf
     when its computed sum is not positive.
     """
+    from scipy.special import gammaln
+
     ak = a[:, None] + np.arange(d)
     log_s = np.array([math.log(v) for v in s.tolist()])
     log_fact = gammaln(np.arange(1.0, d + 1.0))  # ln k! for k < d

@@ -41,7 +41,6 @@ import json
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import betainc, gammaincc
 
 from .errors import InvalidParameterError, RecordsError, UnsupportedSpecError
 
@@ -69,6 +68,16 @@ def _require_int(value, minimum: int, field: str) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
         raise InvalidParameterError(f"{field} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _require_uint64(value, field: str) -> int:
+    """A Philox seed or stream index: ``_require_int`` from 0, below 2**64."""
+    try:
+        if _require_int(value, 0, field) < 2**64:
+            return int(value)
+    except InvalidParameterError:
+        pass
+    raise InvalidParameterError(f"{field} must be an unsigned 64-bit integer, got {value!r}")
 
 
 def _require_positive(x, field: str) -> float:
@@ -155,6 +164,8 @@ class IidExponential(DistributionSpec):
     def survival_value_cdf(self, w):
         """S(X) = exp(-T) with T ~ Gamma(d): G(w) = Q(d, -ln w), the
         regularized upper incomplete gamma function."""
+        from scipy.special import gammaincc
+
         with np.errstate(divide="ignore"):
             return gammaincc(self.d, -np.log(np.clip(w, 0.0, 1.0)))
 
@@ -193,6 +204,8 @@ class MarginalDirichlet(DistributionSpec):
 
     def survival_value_cdf(self, w):
         """S(X) = Z^(d+a-1) with Z ~ Beta(a, d): G(w) = I_{w^(1/(d+a-1))}(a, d)."""
+        from scipy.special import betainc
+
         return betainc(self.a, self.d, np.clip(w, 0.0, 1.0) ** (1.0 / (self.d + self.a - 1.0)))
 
 
@@ -222,6 +235,8 @@ class ExponentialScaleMixture(DistributionSpec):
 
     def survival_value_cdf(self, w):
         """S(X) = Z^a with Z ~ Beta(a, d): G(w) = I_{w^(1/a)}(a, d)."""
+        from scipy.special import betainc
+
         return betainc(self.a, self.d, np.clip(w, 0.0, 1.0) ** (1.0 / self.a))
 
 
@@ -415,7 +430,5 @@ class ExperimentConfig:
         validate(self.spec)
         object.__setattr__(self, "n", _require_int(self.n, 1, "n"))
         object.__setattr__(self, "reps", _require_int(self.reps, 1, "reps"))
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
-            raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _require_uint64(self.seed, "seed"))
         object.__setattr__(self, "workers", _require_int(self.workers, 1, "workers"))

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .model import DistributionSpec, _require_int, validate
+from .model import DistributionSpec, _require_int, _require_uint64, validate
 
 __all__ = ["make_rng", "sample_observations"]
 
@@ -29,11 +28,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     Philox is counter-based, so constructing a generator is cheap and the
     (seed, stream) key fully determines the output sequence.
     """
-    if not 0 <= int(seed) < 2**64:
-        raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    if not 0 <= int(stream) < 2**64:
-        raise InvalidParameterError(f"stream must be an unsigned 64-bit integer, got {stream!r}")
-    key = np.array([int(seed), int(stream)], dtype=np.uint64)
+    key = np.array([_require_uint64(seed, "seed"), _require_uint64(stream, "stream")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

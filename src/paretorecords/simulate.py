@@ -51,7 +51,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import InvalidParameterError
 from .exact import pn_independent, pn_marginal_dirichlet, pn_scale_mixture, survival
@@ -485,6 +484,8 @@ def _chi2_two_sample(h1: np.ndarray, h2: np.ndarray, min_expected: float = 5.0):
     Adjacent value bins are pooled left to right until both expected cells
     reach ``min_expected``; a trailing short bin is merged backwards.
     """
+    from scipy.special import chdtrc
+
     width = max(h1.size, h2.size)
     o1 = np.zeros(width)
     o2 = np.zeros(width)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import paretorecords
@@ -371,14 +372,84 @@ class TestCheckCommand:
         assert code == EXIT_PARAMETER
         assert out == "" and "workers must be an integer >= 1" in err
 
-def test_import_loads_no_scipy_stats_or_linalg():
-    # Every command pays the package import, and scipy.stats alone takes most
-    # of a second to load; the package needs only scipy.special.
+# scipy.special loads on first use. A fresh interpreter shows which commands
+# load it: a test process has long since imported scipy itself.
+_COLD_MAIN = """
+import contextlib, io, json, sys
+from paretorecords.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, out.getvalue(), "scipy.special" in sys.modules]))
+"""
+
+_COLD_SURVIVAL_CDF = """
+import json, sys
+import numpy as np
+from paretorecords.model import spec_from_json
+value = spec_from_json(sys.argv[1]).survival_value_cdf(np.linspace(0.0, 1.0, 17)).tolist()
+print(json.dumps([value, "scipy.special" in sys.modules]))
+"""
+
+_SURVIVAL_CDF_SPECS = [IidExponential(3), MarginalDirichlet(3, 0.7), ExponentialScaleMixture(2, 2.5)]
+
+
+def run_cold(script, *args):
     src = Path(paretorecords.__file__).resolve().parent.parent
-    script = "import sys, paretorecords.cli; print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout) if args else proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # Every command pays the package import; scipy.special alone takes about
+    # half of it, and the package imports it only where a function needs it.
+    script = "import sys, paretorecords, paretorecords.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_cold(script).strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--family", "iid-exp", "--d", "2", "--n", "5", "--reps", "1000", "--seed", "1"],
+        ["simulate", "--family", "pa", "--d", "2", "--a", "1", "--n", "5", "--reps", "1000", "--estimator", "survival"],
+        ["simulate", "--family", "iid-exp", "--d", "2", "--n", "5", "--reps", "1000", "--estimand", "maxima"],
+        ["check", "--check", "p2", "--family", "pa", "--d", "2", "--a", "1", "--samples", "10000", "--seed", "9"],
+        ["check", "--check", "nuod", "--family", "dir", "--d", "2", "--a", "1", "--samples", "10000", "--seed", "11"],
+        ["exact", "--formula", "roman", "--n", "3", "--k", "1", "--rational"],
+        ["exact", "--formula", "pstar", "--n", "63", "--d", "3"],
+    ],
+    ids=["simulate-indicator", "simulate-survival", "simulate-maxima", "check-p2", "check-nuod",
+         "exact-roman-rational", "exact-pstar-63"],
+)
+def test_command_loads_no_scipy_special(argv):
+    code, _, loaded = run_cold(_COLD_MAIN, json.dumps(argv))
+    assert code == EXIT_OK
+    assert not loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--check", "concomitant", "--family", "iid-exp", "--d", "2", "--n", "20", "--reps", "2000", "--seed", "12"],
+        ["exact", "--formula", "pdir", "--n", "1000", "--d", "3", "--a", "2"],
+        ["exact", "--formula", "ppa", "--n", "5", "--d", "3", "--a", "2"],
+        ["exact", "--formula", "pstar", "--n", "64", "--d", "3"],
+    ],
+    # The lazy sites each command reaches: _pn_beta_terms also runs for pdir.
+    ids=["chdtrc", "gammaln-stirling", "gammaln-beta-terms", "digamma-zeta"],
+)
+def test_cold_command_writes_same_bytes(capsys, argv):
+    code, out, loaded = run_cold(_COLD_MAIN, json.dumps(argv))
+    assert loaded
+    assert (code, out) == run_cli(capsys, *argv)[:2]
+
+
+@pytest.mark.parametrize("spec", _SURVIVAL_CDF_SPECS, ids=lambda spec: spec.family)
+def test_cold_survival_value_cdf_same_bits(spec):
+    value, loaded = run_cold(_COLD_SURVIVAL_CDF, json.dumps(spec.to_json()))
+    assert loaded
+    assert value == spec.survival_value_cdf(np.linspace(0.0, 1.0, 17)).tolist()

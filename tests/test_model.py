@@ -84,6 +84,9 @@ class TestSpecValidation:
             ExperimentConfig(IidExponential(2), n=1, reps=0)
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(IidExponential(2), n=1, reps=1, seed=-1)
+        with pytest.raises(InvalidParameterError, match="seed must be an unsigned 64-bit integer"):
+            ExperimentConfig(IidExponential(2), n=5, reps=10, seed=True)
+        assert ExperimentConfig(IidExponential(2), n=5, reps=10, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 # Each family's batch rebuilt by hand from the draw order documented on its

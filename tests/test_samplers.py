@@ -36,10 +36,15 @@ class TestStreams:
         assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / math.sqrt(n)
 
     def test_bad_seed(self):
-        with pytest.raises(InvalidParameterError):
-            make_rng(-1)
-        with pytest.raises(InvalidParameterError):
-            make_rng(0, 2**64)
+        # A bool or a float is not a seed, even where int() would take it.
+        for bad in [-1, True, 2.7, 1.0]:
+            with pytest.raises(InvalidParameterError, match="seed must be an unsigned 64-bit integer"):
+                make_rng(bad)
+        for bad in [2**64, True, 2.7, 1.0]:
+            with pytest.raises(InvalidParameterError, match="stream must be an unsigned 64-bit integer"):
+                make_rng(1, bad)
+        a = make_rng(np.uint64(7), np.uint64(3)).random(10)
+        assert np.array_equal(a, make_rng(7, 3).random(10))
 
 
 class TestKernels:
