@@ -391,9 +391,6 @@ value = spec_from_json(sys.argv[1]).survival_value_cdf(np.linspace(0.0, 1.0, 17)
 print(json.dumps([value, "scipy.special" in sys.modules]))
 """
 
-_SURVIVAL_CDF_SPECS = [IidExponential(3), MarginalDirichlet(3, 0.7), ExponentialScaleMixture(2, 2.5)]
-
-
 def run_cold(script, *args):
     src = Path(paretorecords.__file__).resolve().parent.parent
     proc = subprocess.run(
@@ -401,14 +398,14 @@ def run_cold(script, *args):
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout) if args else proc.stdout
+    return json.loads(proc.stdout)
 
 
 def test_import_loads_no_scipy():
     # Every command pays the package import; scipy.special alone takes about
     # half of it, and the package imports it only where a function needs it.
     script = "import sys, paretorecords, paretorecords.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert run_cold(script).strip() == "[]"
+    assert run_cold(script) == []
 
 
 @pytest.mark.parametrize(
@@ -448,7 +445,9 @@ def test_cold_command_writes_same_bytes(capsys, argv):
     assert (code, out) == run_cli(capsys, *argv)[:2]
 
 
-@pytest.mark.parametrize("spec", _SURVIVAL_CDF_SPECS, ids=lambda spec: spec.family)
+@pytest.mark.parametrize(
+    "spec", [IidExponential(3), MarginalDirichlet(3, 0.7), ExponentialScaleMixture(2, 2.5)], ids=lambda spec: spec.family
+)
 def test_cold_survival_value_cdf_same_bits(spec):
     value, loaded = run_cold(_COLD_SURVIVAL_CDF, json.dumps(spec.to_json()))
     assert loaded
