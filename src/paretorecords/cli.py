@@ -242,6 +242,8 @@ def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     lo, hi, steps = _parse_grid(args.a_grid)
     grid = np.geomspace(lo, hi, steps)
+    if args.with_mc and args.reps < 1:
+        raise RecordsError(f"--with-mc needs --reps >= 1, got {args.reps}")
     reps = args.reps if args.with_mc else 0
     t0 = time.perf_counter()
     rows_out = []
@@ -283,8 +285,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise RecordsError(f"grid must look like lo:hi:steps, got {text!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if lo <= 0 or hi <= 0 or steps < 1:
-        raise RecordsError("grid endpoints must be > 0 (log spacing) and steps >= 1")
+    if not (0 < lo < math.inf and 0 < hi < math.inf) or steps < 1:
+        raise RecordsError("grid endpoints must be finite and > 0 (log spacing) and steps >= 1")
     return lo, hi, steps
 
 
@@ -542,10 +544,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except RecordsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (RecordsError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except Exception as exc:  # noqa: BLE001 - nothing may escape to the shell

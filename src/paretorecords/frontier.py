@@ -24,6 +24,13 @@ record side of ``simulate.concomitant_records`` folds every sorted stream
 through :func:`make_frontier`; the batched maxima kernel
 ``simulate._fold_streams`` feeds them only the points its prefilter cannot
 rule out on long streams. :func:`records_bruteforce` is the oracle for all.
+
+``_dominates`` is the one vectorized weak-dominance test of the Monte Carlo
+code: the indicator estimator (``simulate.estimate_record_prob``), the
+all-pairs tiles (``simulate._tile_counts``), the prefilter's frontier test
+(``simulate._dominated``) and ``ordering.check_p2_bound`` all call it.
+``records_bruteforce`` keeps its own loop, so the oracle shares no code with
+what it checks.
 """
 
 from __future__ import annotations
@@ -164,6 +171,19 @@ class Frontier2D:
         ys.insert(j, y)
         self.records_total += 1
         return True, broken
+
+
+def _dominates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mask of "x[q] >= y[q] for every q": x weakly dominates y.
+
+    The coordinate is the first axis of both arrays; the rest broadcast
+    against each other. The mask is built one coordinate at a time, so no
+    broadcast temporary with a coordinate axis is formed.
+    """
+    dom = x[0] >= y[0]
+    for q in range(1, len(x)):
+        dom &= x[q] >= y[q]
+    return dom
 
 
 def make_frontier(d: int):

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .exact import survival
+from .frontier import _dominates
 from .model import DistributionSpec, _require_int, validate
 from .samplers import sample_observations
 
@@ -299,10 +300,7 @@ def check_p2_bound(
     reps = _require_int(reps, 2, "reps")
     first = sample_observations(spec, reps, rng)
     second = sample_observations(spec, reps, rng)
-    dominated = second[:, 0] <= first[:, 0]
-    for q in range(1, spec.dim):
-        dominated &= second[:, q] <= first[:, q]
-    p2 = float((~dominated).mean())
+    p2 = float((~_dominates(first.T, second.T)).mean())
     se = math.sqrt(p2 * (1.0 - p2) / reps)
     bound = 1.0 - 2.0 ** -spec.dim
     margin = (p2 - bound) / se if se > 0 else (0.0 if p2 == bound else math.inf)

@@ -1,13 +1,15 @@
 """Monte Carlo estimation of record probabilities and maxima counts.
 
-Reproducibility contract
-------------------------
-Replicates are partitioned into fixed-size chunks; chunk ``i`` draws from the
-Philox stream ``(seed, stream_base + i)`` and chunk results are reduced in
-index order. The partition depends only on the experiment parameters, never
-on the worker count, so reruns with a different ``workers`` value are
-bit-identical. Workers are threads; the heavy lifting is vectorized numpy on
-large blocks.
+Chunk driver and reproducibility contract
+-----------------------------------------
+Every estimator draws through one driver, ``_map_chunks``. It splits the
+replicates into chunks of a fixed number of streams; chunk ``i`` draws its
+(m, length, d) block from the Philox stream ``(seed, stream_base + i)``, and
+the per-chunk results come back in chunk order, which is the order the
+estimator reduces them in. The partition depends only on the experiment
+parameters, never on the worker count, so reruns with a different
+``workers`` value are bit-identical. Workers are threads; the heavy lifting
+is vectorized numpy on large blocks.
 
 Estimators
 ----------
@@ -16,8 +18,9 @@ Each of the four takes one validated :class:`~paretorecords.model.ExperimentConf
 
 * :func:`estimate_record_prob` -- indicator estimator: the fraction of
   replicates whose n-th observation is a record (binomial standard error).
-  The dominance mask of a chunk is built one coordinate at a time, so it
-  takes chunk x (n - 1) booleans and no chunk x n x d temporary.
+  The dominance mask of a chunk comes from ``frontier._dominates``, built one
+  coordinate at a time, so it takes chunk x (n - 1) booleans and no
+  chunk x n x d temporary.
 * :func:`estimate_record_prob_survival` -- averages (1 - S(X))^(n-1) using
   the closed-form survival S; unbiased for the same quantity with strictly
   smaller variance on the same draw count (conditioning estimator).
@@ -54,8 +57,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .exact import pn_independent, pn_marginal_dirichlet, pn_scale_mixture, survival
-from .frontier import StreamResult, make_frontier, run_stream
-from .model import DistributionSpec, ExperimentConfig, spec_from_json
+from .frontier import StreamResult, _dominates, make_frontier, run_stream
+from .model import DistributionSpec, ExperimentConfig, _require_int, spec_from_json
 from .samplers import make_rng, sample_observations
 
 __all__ = [
@@ -147,23 +150,31 @@ class SweepRow:
     error: str | None = None
 
 
-def _chunk_jobs(reps: int, rows_per_chunk: int) -> list[tuple[int, int]]:
-    jobs = []
-    start = 0
-    idx = 0
-    while start < reps:
-        m = min(rows_per_chunk, reps - start)
-        jobs.append((idx, m))
-        start += m
-        idx += 1
-    return jobs
+def _map_chunks(config: ExperimentConfig, length: int, rows_per_chunk: int, fn, stream_base: int = 0) -> list:
+    """``fn(block)`` for every chunk of ``config.reps`` streams of ``length`` points, in chunk order.
+
+    Chunk i holds ``rows_per_chunk`` streams (the last one what is left) and
+    draws its (m, length, d) block from the Philox stream
+    ``(config.seed, stream_base + i)``; chunks run on ``config.workers``
+    threads.
+    """
+    spec, reps = config.spec, config.reps
+    sizes = [min(rows_per_chunk, reps - start) for start in range(0, reps, rows_per_chunk)]
+
+    def job(i: int):
+        rng = make_rng(config.seed, stream_base + i)
+        return fn(sample_observations(spec, sizes[i] * length, rng).reshape(sizes[i], length, spec.dim))
+
+    if config.workers <= 1 or len(sizes) <= 1:
+        return [job(i) for i in range(len(sizes))]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        return list(pool.map(job, range(len(sizes))))
 
 
-def _run_chunks(fn, jobs, workers: int) -> list:
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(stream, m) for stream, m in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: fn(*job), jobs))
+def _mean_se(total, total_sq, reps: int) -> tuple[float, float]:
+    """Sample mean and its standard error from a sum and a sum of squares."""
+    var = max(total_sq - total * total / reps, 0.0) / max(reps - 1, 1)
+    return total / reps, math.sqrt(var / reps)
 
 
 def simulate_trajectory(spec: DistributionSpec, n: int, rng: np.random.Generator) -> StreamResult:
@@ -185,23 +196,15 @@ def estimate_record_prob(config: ExperimentConfig, *, _stream_base: int = 0) -> 
     its predecessors. Standard error is binomial.
     """
     t0 = time.perf_counter()
-    spec, n, reps = config.spec, config.n, config.reps
-    d = spec.dim
-    rows = max(1, _INDICATOR_BUDGET // n)
+    n, reps = config.n, config.reps
 
-    def job(stream: int, m: int) -> int:
-        if n == 1:
-            return m
-        rng = make_rng(config.seed, _stream_base + stream)
-        block = sample_observations(spec, m * n, rng).reshape(m, n, d)
-        prev, last = block[:, : n - 1], block[:, n - 1 :]
+    def job(block: np.ndarray) -> int:
+        c = block.transpose(2, 0, 1)  # (d, m, n)
         # dom[k, i]: point i weakly dominates the last point of replicate k.
-        dom = prev[:, :, 0] >= last[:, :, 0]
-        for q in range(1, d):
-            dom &= prev[:, :, q] >= last[:, :, q]
-        return int(m - dom.any(axis=1).sum())
+        dom = _dominates(c[:, :, : n - 1], c[:, :, n - 1 :])
+        return int(block.shape[0] - dom.any(axis=1).sum())
 
-    hits = sum(_run_chunks(job, _chunk_jobs(reps, rows), config.workers))
+    hits = reps if n == 1 else sum(_map_chunks(config, n, max(1, _INDICATOR_BUDGET // n), job, _stream_base))
     p = hits / reps
     se = math.sqrt(p * (1.0 - p) / reps)
     return EstimateWithCI(p, se, reps, config.seed, time.perf_counter() - t0)
@@ -220,18 +223,13 @@ def estimate_record_prob_survival(config: ExperimentConfig, *, _stream_base: int
     survival(spec, np.zeros(spec.dim))  # raises UnsupportedSpecError early
     t0 = time.perf_counter()
 
-    def job(stream: int, m: int) -> tuple[float, float]:
-        rng = make_rng(config.seed, _stream_base + stream)
-        x = sample_observations(spec, m, rng)
-        w = (1.0 - survival(spec, x)) ** (n - 1)
+    def job(block: np.ndarray) -> tuple[float, float]:
+        w = (1.0 - survival(spec, block[:, 0])) ** (n - 1)
         return float(w.sum()), float(np.square(w).sum())
 
-    parts = _run_chunks(job, _chunk_jobs(reps, _SURVIVAL_CHUNK), config.workers)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    mean = total / reps
-    var = max(total_sq - total * total / reps, 0.0) / max(reps - 1, 1)
-    return EstimateWithCI(mean, math.sqrt(var / reps), reps, config.seed, time.perf_counter() - t0)
+    parts = _map_chunks(config, 1, _SURVIVAL_CHUNK, job, _stream_base)
+    mean, se = _mean_se(sum(p[0] for p in parts), sum(p[1] for p in parts), reps)
+    return EstimateWithCI(mean, se, reps, config.seed, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +271,13 @@ def _tile_counts(block: np.ndarray) -> np.ndarray:
     j, so this rule keeps the first copy of a duplicate, as the streaming
     structures do.
     """
-    m, n, d = block.shape
+    m, n, _ = block.shape
     out = np.empty((3, m), dtype=np.int64)
     earlier = np.tril(np.ones((n, n), dtype=bool), -1)[:, :, None]  # [j, i]: i < j
     step = max(1, _TILE_BUDGET // (n * n))
     for s in range(0, m, step):
         c = np.ascontiguousarray(block[s : s + step].transpose(2, 1, 0))  # (d, n, k)
-        dom = c[0][None, :, :] >= c[0][:, None, :]
-        for q in range(1, d):
-            dom &= c[q][None, :, :] >= c[q][:, None, :]
+        dom = _dominates(c[:, None], c[:, :, None])
         rec = ~(dom & earlier).any(axis=1)
         # No earlier point dominates a record, so a record stays on the
         # frontier iff the only record dominating it is itself.
@@ -295,7 +291,7 @@ def _tile_counts(block: np.ndarray) -> np.ndarray:
 
 def _dominated(frontiers: list, seg: np.ndarray) -> np.ndarray:
     """(m, L) mask of segment points weakly dominated by their replicate's frontier."""
-    m, L, d = seg.shape
+    m, L, _ = seg.shape
     sizes = np.fromiter((fr.size for fr in frontiers), np.int64, m)
     pts = np.concatenate([fr.maxima for fr in frontiers])
     # Pad each frontier to the longest by repeating its last point.
@@ -304,11 +300,8 @@ def _dominated(frontiers: list, seg: np.ndarray) -> np.ndarray:
     out = np.empty((m, L), dtype=bool)
     step = max(1, _TILE_BUDGET // (L * width))
     for s in range(0, m, step):
-        f, q = front[s : s + step], seg[s : s + step]
-        dom = f[:, None, :, 0] >= q[:, :, None, 0]
-        for k in range(1, d):
-            dom &= f[:, None, :, k] >= q[:, :, None, k]
-        out[s : s + step] = dom.any(axis=2)
+        f, q = front[s : s + step].transpose(2, 0, 1), seg[s : s + step].transpose(2, 0, 1)
+        out[s : s + step] = _dominates(f[:, :, None, :], q[:, :, :, None]).any(axis=2)
     return out
 
 
@@ -360,16 +353,12 @@ def _fold_streams(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return r, big_r, final
 
 
-def estimate_maxima(config: ExperimentConfig, *, _stream_base: int = 0) -> MaximaEstimates:
+def estimate_maxima(config: ExperimentConfig) -> MaximaEstimates:
     """Estimate E R_n (records seen) and E r_n (current maxima) at time n."""
     t0 = time.perf_counter()
-    spec, n, reps = config.spec, config.n, config.reps
-    d = spec.dim
-    rows = max(1, _MAXIMA_BUDGET // n)
+    n, reps = config.n, config.reps
 
-    def job(stream: int, m: int):
-        rng = make_rng(config.seed, _stream_base + stream)
-        block = sample_observations(spec, m * n, rng).reshape(m, n, d)
+    def job(block: np.ndarray):
         r, big_r, final = _fold_streams(block)
         diff = r - n * final  # mean zero iff E r_n = n p_n
         return (
@@ -379,23 +368,14 @@ def estimate_maxima(config: ExperimentConfig, *, _stream_base: int = 0) -> Maxim
             int(diff.sum()), int(np.square(diff).sum()),
         )
 
-    parts = _run_chunks(job, _chunk_jobs(reps, rows), config.workers)
+    parts = _map_chunks(config, n, max(1, _MAXIMA_BUDGET // n), job)
     agg = [sum(p[i] for p in parts) for i in range(7)]
     elapsed = time.perf_counter() - t0
-
-    def mean_ci(total: int, total_sq: int) -> EstimateWithCI:
-        mean = total / reps
-        var = max(total_sq - total * total / reps, 0.0) / max(reps - 1, 1)
-        return EstimateWithCI(mean, math.sqrt(var / reps), reps, config.seed, elapsed)
-
-    maxima = mean_ci(agg[0], agg[1])
-    records = mean_ci(agg[2], agg[3])
-    pn_hat = agg[4] / reps
-    diff_mean = agg[5] / reps
-    diff_var = max(agg[6] - agg[5] ** 2 / reps, 0.0) / max(reps - 1, 1)
-    diff_se = math.sqrt(diff_var / reps)
+    maxima = EstimateWithCI(*_mean_se(agg[0], agg[1], reps), reps, config.seed, elapsed)
+    records = EstimateWithCI(*_mean_se(agg[2], agg[3], reps), reps, config.seed, elapsed)
+    diff_mean, diff_se = _mean_se(agg[5], agg[6], reps)
     gap = 0.0 if diff_mean == 0 else (abs(diff_mean) / diff_se if diff_se > 0 else math.inf)
-    return MaximaEstimates(records, maxima, pn_hat, gap)
+    return MaximaEstimates(records, maxima, agg[4] / reps, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -444,38 +424,17 @@ def concomitant_check(config: ExperimentConfig) -> ConcomitantResult:
     (a running maximum for d = 2, the streaming frontiers of ``frontier``
     beyond), so the test cross-validates both.
     """
-    spec, n, reps, seed = config.spec, config.n, config.reps, config.seed
-    d = spec.dim
-    if d < 2:
+    n, reps, seed = config.n, config.reps, config.seed
+    if config.spec.dim < 2:
         raise InvalidParameterError("concomitant check needs dimension >= 2")
     if reps < 2:
         raise InvalidParameterError(f"concomitant check needs reps >= 2, got {reps}")
     rows = max(1, _MAXIMA_BUDGET // n)
-
-    def job_maxima(stream: int, m: int) -> np.ndarray:
-        rng = make_rng(seed, stream)
-        block = sample_observations(spec, m * n, rng).reshape(m, n, d)
-        r, _, _ = _fold_streams(block)
-        return np.bincount(r)
-
-    def job_records(stream: int, m: int) -> np.ndarray:
-        rng = make_rng(seed, _PHASE_STRIDE + stream)
-        block = sample_observations(spec, m * n, rng).reshape(m, n, d)
-        return np.bincount(concomitant_records(block))
-
-    jobs = _chunk_jobs(reps, rows)
-    hist_r = _sum_histograms(_run_chunks(job_maxima, jobs, config.workers))
-    hist_big_r = _sum_histograms(_run_chunks(job_records, jobs, config.workers))
+    maxima = _map_chunks(config, n, rows, lambda block: _fold_streams(block)[0])
+    records = _map_chunks(config, n, rows, concomitant_records, _PHASE_STRIDE)
+    hist_r, hist_big_r = np.bincount(np.concatenate(maxima)), np.bincount(np.concatenate(records))
     stat, dof, pvalue = _chi2_two_sample(hist_r, hist_big_r)
     return ConcomitantResult(hist_r, hist_big_r, stat, dof, pvalue, reps, seed)
-
-
-def _sum_histograms(hists: list[np.ndarray]) -> np.ndarray:
-    width = max(h.size for h in hists)
-    out = np.zeros(width, dtype=np.int64)
-    for h in hists:
-        out[: h.size] += h
-    return out
 
 
 def _chi2_two_sample(h1: np.ndarray, h2: np.ndarray, min_expected: float = 5.0):
@@ -547,15 +506,16 @@ def sweep(
     """Evaluate record probabilities of ``family`` ("dir" or "pa") over a grid of a.
 
     n and d are fixed. ``reps = 0`` produces an exact-only table with no
-    sampling; otherwise each row also carries a Monte Carlo estimate
+    sampling; a positive ``reps`` gives each row a Monte Carlo estimate
     (``estimator`` is ``"indicator"`` or ``"survival"``), its SE and the gap
-    to the exact value in SE units. A failing row is marked and the sweep
-    continues.
+    to the exact value in SE units, and a negative one raises. A failing row
+    is marked and the sweep continues.
 
     The exact column comes from one ``EXACT_PN[family]`` call on the whole
     grid. If that call raises, the grid is evaluated again point by point, so
     each failing row carries its own error and the others their values.
     """
+    reps = _require_int(reps, 0, "reps")
     if len(a_values) == 0:
         raise InvalidParameterError("a_values must be a nonempty grid")
     if estimator not in ("indicator", "survival"):

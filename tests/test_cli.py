@@ -252,10 +252,21 @@ class TestSweepCommand:
             assert abs(r["sigma_gap"]) < 5.0
 
     def test_bad_grid(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "sweep", "--family", "dir", "--a-grid", "1:10", "--n", "2", "--d", "2"
+        for grid in ("1:10", "1:inf:3", "nan:2:3"):
+            code, _, err = run_cli(
+                capsys, "sweep", "--family", "dir", "--a-grid", grid, "--n", "2", "--d", "2"
+            )
+            assert code == EXIT_PARAMETER, grid
+            assert err.startswith("error:"), grid
+
+    @pytest.mark.parametrize("reps", ["0", "-5"])
+    def test_with_mc_needs_positive_reps(self, capsys, reps):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "pa", "--a-grid", "0.5:5:3", "--n", "3", "--d", "2",
+            "--with-mc", "--reps", reps,
         )
         assert code == EXIT_PARAMETER
+        assert out == "" and "--reps" in err
 
     def test_failing_rows_exit_4(self, capsys):
         # d = 1 has no closed form for either family: every row fails, the

@@ -17,6 +17,7 @@ from paretorecords import (
     run_stream,
     sample_observations,
 )
+from paretorecords.frontier import _dominates
 
 
 class TestInsertExamples:
@@ -207,3 +208,15 @@ class TestBruteForce:
         ind, r = records_bruteforce(np.array([[1.0, 1.0], [1.0, 1.0], [0.5, 0.5]]))
         assert list(ind) == [True, False, False]
         assert r == 1
+
+
+class TestDominatesKernel:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_matches_all_coordinates(self, d):
+        # Lattice points tie coordinates; the rest of the axes broadcast.
+        rng = np.random.default_rng(50 + d)
+        x = rng.integers(0, 3, size=(d, 6, 1)).astype(float)
+        y = rng.integers(0, 3, size=(d, 1, 7)).astype(float)
+        expected = np.all(x >= y, axis=0)
+        assert expected.shape == (6, 7)
+        assert np.array_equal(_dominates(x, y), expected)

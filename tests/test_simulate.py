@@ -84,6 +84,27 @@ class TestIndicatorEstimator:
                 est = estimate_record_prob(ExperimentConfig(IidExponential(d), n=n, reps=len(streams)))
                 assert est.point == sum(flags) / len(flags)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_hit_count_matches_bruteforce_on_lattice_chunks(self, d, monkeypatch):
+        # {0, 1}-lattice streams keyed by each chunk's Philox stream, spread
+        # over several chunks (the last one short) and three workers.
+        monkeypatch.setattr(simulate, "_INDICATOR_BUDGET", 64)  # 8 streams per chunk at n = 8
+        n, reps = 8, 53
+        drawn = {}  # Philox stream index -> the chunk's draws
+
+        def lattice(_spec, count, rng):
+            draws = rng.integers(0, 2, size=(count, d)).astype(float)
+            drawn[int(rng.bit_generator.state["state"]["key"][1])] = draws
+            return draws
+
+        monkeypatch.setattr(simulate, "sample_observations", lattice)
+        est = estimate_record_prob(ExperimentConfig(IidExponential(d), n=n, reps=reps, seed=5, workers=3))
+        assert sorted(drawn) == list(range(7))
+        streams = np.concatenate([drawn[i] for i in range(7)]).reshape(reps, n, d)
+        hits = sum(bool(records_bruteforce(s)[0][-1]) for s in streams)
+        assert 0 < hits < reps
+        assert est.point * reps == hits
+
 
 class TestSurvivalEstimator:
     def test_matches_exact_marginal_dirichlet(self):
@@ -210,6 +231,17 @@ class TestConcomitant:
                 _, r_n = records_bruteforce(block[i])
                 assert from_sort[i] == r_n
 
+    def test_deterministic_across_workers(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAXIMA_BUDGET", 1 << 12)  # 10 chunks of at most 204 streams
+        runs = [
+            concomitant_check(ExperimentConfig(MarginalDirichlet(3, 1.5), n=20, reps=2000, seed=20, workers=w))
+            for w in (1, 3)
+        ]
+        assert np.array_equal(runs[0].maxima_counts, runs[1].maxima_counts)
+        assert np.array_equal(runs[0].record_counts, runs[1].record_counts)
+        assert runs[0].statistic == runs[1].statistic
+        assert runs[0].pvalue == runs[1].pvalue
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             concomitant_check(ExperimentConfig(IidExponential(1), n=5, reps=100, seed=0))
@@ -284,6 +316,9 @@ class TestSweep:
             sweep("iid-exp", a_values=[1.0], n=2, d=2)
         with pytest.raises(InvalidParameterError):
             sweep("nope", a_values=[1.0], n=2, d=2)
+        for reps in (-5, 2.5, True):
+            with pytest.raises(InvalidParameterError):
+                sweep("dir", a_values=[1.0], n=2, d=2, reps=reps)
 
 
 class TestTrajectory:
