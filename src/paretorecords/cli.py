@@ -21,7 +21,9 @@ Distribution specs serialize as JSON objects, in the schema documented in
 :mod:`paretorecords.model`.
 
 The default seed is 0; the environment variable ``RECORDS_SEED`` overrides
-it and the ``--seed`` flag wins over both.
+it and the ``--seed`` flag wins over both; both are read on every call. The
+parser is built once per process, on the first :func:`main` call; handlers
+look up evaluators and ``emit_rows`` through module globals when they run.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import os
 import sys
 import time
 from dataclasses import fields
+from itertools import repeat
 
 import numpy as np
 
@@ -118,18 +121,31 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def emit_rows(rows: list[dict], out: str, out_file: str | None) -> None:
-    """Write rows as CSV (with header) or JSON lines to stdout or a file."""
+def _format_column(values: tuple) -> list[str]:
+    # One rule per column: an all-float column, the bulk of a long sweep, skips the per-cell dispatch.
+    if set(map(type, values)) == {float}:
+        return list(map(format, values, repeat(".12g")))
+    return list(map(_format_value, values))
+
+
+def emit_rows(const: dict, header, rows, out: str, out_file: str | None) -> None:
+    """Write one table as CSV (with header) or JSON lines to stdout or a file.
+
+    ``const`` maps the leading columns, which hold one value in every row,
+    to that value; ``header`` names the other columns (at least one), and
+    each row is a tuple of their values. A CSV cell is ``_format_value`` of
+    its value, quoted as RFC 4180 needs; a JSON line keeps the native values.
+    """
     if out == "csv":
         buf = io.StringIO()
-        fieldnames = list(rows[0].keys()) if rows else []
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _format_value(v) for k, v in row.items()})
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([*const, *header])
+        prefix = tuple(map(_format_value, const.values()))
+        writer.writerows(prefix + cells for cells in zip(*map(_format_column, zip(*rows))))
         text = buf.getvalue()
     else:
-        text = "".join(json.dumps(row, sort_keys=False) + "\n" for row in rows)
+        lead = list(const.items())
+        text = "".join(json.dumps(dict(lead + list(zip(header, row)))) + "\n" for row in rows)
     if out_file:
         with open(out_file, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -137,11 +153,12 @@ def emit_rows(rows: list[dict], out: str, out_file: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _base_row(command: str, seed: int | None) -> dict:
-    row = {"schema_version": SCHEMA_VERSION, "command": command, "version": __version__}
+def _lead_columns(command: str, seed: int | None) -> dict:
+    # The columns every table starts with; a command that draws nothing has no seed.
+    const = {"schema_version": SCHEMA_VERSION, "command": command, "version": __version__}
     if seed is not None:
-        row["seed"] = seed
-    return row
+        const["seed"] = seed
+    return const
 
 
 # ---------------------------------------------------------------------------
@@ -151,35 +168,30 @@ def _base_row(command: str, seed: int | None) -> dict:
 
 def _cmd_exact(args) -> int:
     formula = args.formula
-    row = _base_row("exact", None)
-    row.update({"formula": formula, "n": args.n})
+    row = {"formula": formula, "n": args.n}
+    rational = None
     if formula == "roman":
         k = args.k if args.k is not None else 0
         value = roman_harmonic(args.n, k)
-        row["k"] = k
-        row["value"] = float(value)
-        if args.rational:
-            row["numerator"] = value.numerator
-            row["denominator"] = value.denominator
+        row.update(k=k, value=float(value))
+        rational = value if args.rational else None
     elif formula == "pstar":
         if args.d is None:
             raise RecordsError("--d is required for pstar")
-        row["d"] = args.d
-        row["value"] = pn_independent(args.n, args.d)
-        if args.rational:
-            value = pn_independent_exact(args.n, args.d)
-            row["numerator"] = value.numerator
-            row["denominator"] = value.denominator
+        row.update(d=args.d, value=pn_independent(args.n, args.d))
+        rational = pn_independent_exact(args.n, args.d) if args.rational else None
     elif formula in ("pdir", "ppa"):
         if args.d is None or args.a is None:
             raise RecordsError(f"--d and --a are required for {formula}")
         if args.rational:
             raise RecordsError("--rational is defined for pstar and roman only")
         fn = pn_marginal_dirichlet if formula == "pdir" else pn_scale_mixture
-        row.update({"d": args.d, "a": args.a, "value": fn(args.n, args.d, args.a)})
+        row.update(d=args.d, a=args.a, value=fn(args.n, args.d, args.a))
     else:  # pragma: no cover - argparse restricts choices
         raise RecordsError(f"unknown formula {formula!r}")
-    emit_rows([row], args.out, args.out_file)
+    if rational is not None:
+        row.update(numerator=rational.numerator, denominator=rational.denominator)
+    emit_rows(_lead_columns("exact", None), list(row), [tuple(row.values())], args.out, args.out_file)
     return EXIT_OK
 
 
@@ -194,24 +206,15 @@ def _cmd_simulate(args) -> int:
     else:
         result = estimate_maxima(config)
         estimates = [("records_mean", "indicator", result.records), ("maxima_mean", "indicator", result.maxima)]
-    rows = []
-    for estimand, estimator, est in estimates:
-        row = _base_row("simulate", seed)
-        row.update(spec_to_json_flat(spec))
-        row.update(
-            {
-                "estimand": estimand,
-                "estimator": estimator,
-                "n": args.n,
-                "reps": args.reps,
-                "estimate": est.point,
-                "std_error": est.std_error,
-            }
-        )
-        rows.append(row)
     if args.emit_trajectory:
         _write_trajectory(args.emit_trajectory, config)
-    emit_rows(rows, args.out, args.out_file)
+    emit_rows(
+        {**_lead_columns("simulate", seed), **spec_to_json_flat(spec)},
+        ("estimand", "estimator", "n", "reps", "estimate", "std_error"),
+        [(estimand, estimator, args.n, args.reps, est.point, est.std_error) for estimand, estimator, est in estimates],
+        args.out,
+        args.out_file,
+    )
     print(f"elapsed {time.perf_counter() - t0:.3f} s", file=sys.stderr)
     return EXIT_OK
 
@@ -226,16 +229,14 @@ def spec_to_json_flat(spec: DistributionSpec) -> dict:
 
 
 def _write_trajectory(path: str, config: ExperimentConfig) -> None:
-    # One stream (stream index 0), one row per step: step, is_record, broken, r_n.
+    # One stream (stream index 0), one CSV row per step: step, is_record, broken, r_n.
     result = simulate_trajectory(config.spec, config.n, make_rng(config.seed, 0))
-    running = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "is_record", "broken", "maxima_count"])
-        for step, outcome in enumerate(result.outcomes, start=1):
-            if outcome.is_record:
-                running += 1 - outcome.broken
-            writer.writerow([step, _format_value(outcome.is_record), outcome.broken, running])
+    rows, running = [], 0
+    for step, outcome in enumerate(result.outcomes, start=1):
+        if outcome.is_record:
+            running += 1 - outcome.broken
+        rows.append((step, outcome.is_record, outcome.broken, running))
+    emit_rows({}, ("step", "is_record", "broken", "maxima_count"), rows, "csv", path)
 
 
 def _cmd_sweep(args) -> int:
@@ -246,8 +247,6 @@ def _cmd_sweep(args) -> int:
         raise RecordsError(f"--with-mc needs --reps >= 1, got {args.reps}")
     reps = args.reps if args.with_mc else 0
     t0 = time.perf_counter()
-    rows_out = []
-    failures = 0
     results = sweep(
         args.family,
         a_values=grid,
@@ -258,26 +257,15 @@ def _cmd_sweep(args) -> int:
         workers=args.workers,
         estimator=args.estimator,
     )
-    for r in results:
-        row = _base_row("sweep", seed)
-        row.update(
-            {
-                "family": r.family,
-                "n": r.n,
-                "d": r.d,
-                "a": r.a,
-                "exact": r.exact,
-                "mc": r.estimate,
-                "se": r.std_error,
-                "sigma_gap": r.sigma_gap,
-                "error": r.error,
-            }
-        )
-        rows_out.append(row)
-        failures += r.error is not None
-    emit_rows(rows_out, args.out, args.out_file)
+    emit_rows(
+        {**_lead_columns("sweep", seed), "family": args.family, "n": args.n, "d": args.d},
+        ("a", "exact", "mc", "se", "sigma_gap", "error"),
+        [(r.a, r.exact, r.estimate, r.std_error, r.sigma_gap, r.error) for r in results],
+        args.out,
+        args.out_file,
+    )
     print(f"elapsed {time.perf_counter() - t0:.3f} s", file=sys.stderr)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return EXIT_PARTIAL if any(r.error is not None for r in results) else EXIT_OK
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -301,9 +289,7 @@ def _cmd_check(args) -> int:
         "limits": _check_limits,
     }[kind]
     report = handler(args, seed)
-    report_row = _base_row("check", seed)
-    report_row.update(report)
-    emit_rows([report_row], args.out, args.out_file)
+    emit_rows(_lead_columns("check", seed), list(report), [tuple(report.values())], args.out, args.out_file)
     return EXIT_OK if report["verdict"] == "pass" else EXIT_VIOLATION
 
 
@@ -539,9 +525,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.handler(args)
     except (RecordsError, ValueError, KeyError, OSError) as exc:

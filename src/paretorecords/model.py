@@ -155,7 +155,7 @@ class IidExponential(DistributionSpec):
 
     def sample(self, m, rng):
         """One block of m*d exponentials."""
-        return rng.exponential(size=(m, self.d))
+        return rng.standard_exponential(size=(m, self.d))
 
     def survival(self, pos):
         """exp(-||x||_1)."""
@@ -191,8 +191,8 @@ class MarginalDirichlet(DistributionSpec):
         """m*d exponentials, then m Gamma(a) scales; each row is
         E / (sum(E) + G), the first d coordinates of a Dirichlet(1, ..., 1, a)
         vector."""
-        e = rng.exponential(size=(m, self.d))
-        g = rng.gamma(self.a, size=(m, 1))
+        e = rng.standard_exponential(size=(m, self.d))
+        g = rng.standard_gamma(self.a, size=(m, 1))
         g += e.sum(axis=1, keepdims=True)
         e /= g
         return e
@@ -225,8 +225,8 @@ class ExponentialScaleMixture(DistributionSpec):
 
     def sample(self, m, rng):
         """m*d exponentials, then m Gamma(a) scales; each row is E / G."""
-        e = rng.exponential(size=(m, self.d))
-        e /= rng.gamma(self.a, size=(m, 1))
+        e = rng.standard_exponential(size=(m, self.d))
+        e /= rng.standard_gamma(self.a, size=(m, 1))
         return e
 
     def survival(self, pos):
@@ -283,7 +283,7 @@ class Dirichlet(DistributionSpec):
         b underflows to 0/0; each row is scaled by its largest entry, then
         normalized."""
         b = np.asarray(self.b)
-        g = rng.gamma(b + 1.0, size=(m, b.size))
+        g = rng.standard_gamma(b + 1.0, size=(m, b.size))
         np.log(g, out=g)
         u = rng.random((m, b.size))
         np.negative(u, out=u)
@@ -309,7 +309,7 @@ class Comonotone(DistributionSpec):
 
     def sample(self, m, rng):
         """m exponentials, each repeated across the d coordinates."""
-        y = rng.exponential(size=(m, 1))
+        y = rng.standard_exponential(size=(m, 1))
         return np.repeat(y, self.d, axis=1)
 
     def survival(self, pos):

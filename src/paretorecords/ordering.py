@@ -34,7 +34,7 @@ from .errors import InvalidParameterError
 from .exact import survival
 from .frontier import _dominates
 from .model import DistributionSpec, _require_int, validate
-from .samplers import sample_observations
+from .samplers import finite_draws, sample_observations
 
 __all__ = [
     "Direction",
@@ -123,7 +123,8 @@ def survival_transform(
     samples = _require_int(samples, 1, "samples")
     validate(spec)
     survival(spec, np.zeros(spec.dim))  # fail fast on unsupported specs
-    x = sample_observations(spec, samples, rng)
+    with finite_draws(spec):
+        x = sample_observations(spec, samples, rng)
     return SurvivalTransformSample(np.asarray(survival(spec, x)), spec, samples)
 
 
@@ -191,7 +192,8 @@ def default_probe_grid(
 ) -> np.ndarray:
     """Product grid of per-coordinate empirical quantiles (3^d points by default)."""
     validate(spec)
-    x = sample_observations(spec, pilot, rng)
+    with finite_draws(spec):
+        x = sample_observations(spec, pilot, rng)
     marks = np.quantile(x, quantiles, axis=0)  # (len(q), d)
     axes = [marks[:, j] for j in range(spec.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -269,7 +271,8 @@ def check_nuod(
             f"probes have dimension {probes.shape[1]}, spec has {spec.dim}"
         )
     samples = _require_int(samples, 2, "samples")
-    x = sample_observations(spec, samples, rng)
+    with finite_draws(spec):
+        x = sample_observations(spec, samples, rng)
     joint_hits, marginal_hits = _exceedance_counts(x, probes)
     joint = joint_hits / samples
     marginals = marginal_hits / samples  # (k, d)
@@ -298,8 +301,9 @@ def check_p2_bound(
     if spec.dim < 2:
         raise InvalidParameterError("p_2 bound check needs dimension >= 2")
     reps = _require_int(reps, 2, "reps")
-    first = sample_observations(spec, reps, rng)
-    second = sample_observations(spec, reps, rng)
+    with finite_draws(spec):
+        first = sample_observations(spec, reps, rng)
+        second = sample_observations(spec, reps, rng)
     p2 = float((~_dominates(first.T, second.T)).mean())
     se = math.sqrt(p2 * (1.0 - p2) / reps)
     bound = 1.0 - 2.0 ** -spec.dim

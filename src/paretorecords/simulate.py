@@ -59,7 +59,7 @@ from .errors import InvalidParameterError
 from .exact import pn_independent, pn_marginal_dirichlet, pn_scale_mixture, survival
 from .frontier import StreamResult, _dominates, make_frontier, run_stream
 from .model import DistributionSpec, ExperimentConfig, _require_int, spec_from_json
-from .samplers import make_rng, sample_observations
+from .samplers import finite_draws, make_rng, sample_observations
 
 __all__ = [
     "ConcomitantResult",
@@ -155,15 +155,16 @@ def _map_chunks(config: ExperimentConfig, length: int, rows_per_chunk: int, fn, 
 
     Chunk i holds ``rows_per_chunk`` streams (the last one what is left) and
     draws its (m, length, d) block from the Philox stream
-    ``(config.seed, stream_base + i)``; chunks run on ``config.workers``
-    threads.
+    ``(config.seed, stream_base + i)`` inside ``finite_draws``; chunks run
+    on ``config.workers`` threads.
     """
     spec, reps = config.spec, config.reps
     sizes = [min(rows_per_chunk, reps - start) for start in range(0, reps, rows_per_chunk)]
 
     def job(i: int):
-        rng = make_rng(config.seed, stream_base + i)
-        return fn(sample_observations(spec, sizes[i] * length, rng).reshape(sizes[i], length, spec.dim))
+        with finite_draws(spec):
+            block = sample_observations(spec, sizes[i] * length, make_rng(config.seed, stream_base + i))
+        return fn(block.reshape(sizes[i], length, spec.dim))
 
     if config.workers <= 1 or len(sizes) <= 1:
         return [job(i) for i in range(len(sizes))]
@@ -179,7 +180,8 @@ def _mean_se(total, total_sq, reps: int) -> tuple[float, float]:
 
 def simulate_trajectory(spec: DistributionSpec, n: int, rng: np.random.Generator) -> StreamResult:
     """Sample one stream of length n from ``spec`` and fold it through a frontier."""
-    obs = sample_observations(spec, n, rng)
+    with finite_draws(spec):
+        obs = sample_observations(spec, n, rng)
     return run_stream(obs)
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -9,7 +11,17 @@ import numpy as np
 import pytest
 
 import paretorecords
-from paretorecords import cli, pn_scale_mixture
+from paretorecords import (
+    ExperimentConfig,
+    check_p2_bound,
+    cli,
+    estimate_maxima,
+    make_rng,
+    pn_independent,
+    pn_scale_mixture,
+    simulate,
+    simulate_trajectory,
+)
 from paretorecords.cli import (
     EXIT_OK,
     EXIT_PARAMETER,
@@ -287,7 +299,7 @@ class TestSweepCommand:
         # emit the parsed table again through the same formatter: stable
         from paretorecords.cli import emit_rows
 
-        emit_rows(first, "csv", None)
+        emit_rows({}, list(first[0]), [tuple(row.values()) for row in first], "csv", None)
         second = read_table(capsys.readouterr().out, from_file=False)
         assert first == second
 
@@ -463,3 +475,210 @@ def test_cold_survival_value_cdf_same_bits(spec):
     value, loaded = run_cold(_COLD_SURVIVAL_CDF, json.dumps(spec.to_json()))
     assert loaded
     assert value == spec.survival_value_cdf(np.linspace(0.0, 1.0, 17)).tolist()
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+# ---------------------------------------------------------------------------
+
+# Each earlier call sets a flag whose value, if it stuck to the shared
+# parser, would show in a later call's output.
+_EARLIER = {
+    "rational-json": ["exact", "--formula", "pstar", "--n", "3", "--d", "2", "--rational", "--out", "json"],
+    "seed": ["simulate", "--family", "iid-exp", "--d", "2", "--n", "3", "--reps", "500", "--seed", "77"],
+    "with-mc": ["sweep", "--family", "pa", "--a-grid", "0.5:2:2", "--n", "3", "--d", "2",
+                "--with-mc", "--reps", "300", "--seed", "5"],
+    "usage-error": ["sweep", "--family", "pa", "--a-grid", "0.5:2:2", "--n", "x", "--d", "2"],
+}
+_LATER = [
+    ["exact", "--formula", "pstar", "--n", "3", "--d", "2"],
+    ["simulate", "--family", "iid-exp", "--d", "2", "--n", "3", "--reps", "500"],
+    ["sweep", "--family", "pa", "--a-grid", "0.5:2:2", "--n", "3", "--d", "2", "--reps", "300"],
+]
+
+
+@pytest.fixture(scope="module")
+def fresh_process_outputs():
+    return [run_cold(_COLD_MAIN, json.dumps(argv))[:2] for argv in _LATER]
+
+
+class TestSharedParser:
+    def test_built_once(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        monkeypatch.setattr(cli, "_parser", None)
+        assert run_cli(capsys, "exact", "--formula", "pstar", "--n", "2", "--d", "3")[0] == EXIT_OK
+        assert run_cli(capsys, "exact", "--formula", "roman", "--n", "3", "--k", "1")[0] == EXIT_OK
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("earlier", list(_EARLIER))
+    def test_no_state_carries_over(self, capsys, fresh_process_outputs, earlier):
+        try:
+            code = main(_EARLIER[earlier])
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code == (EXIT_USAGE if earlier == "usage-error" else EXIT_OK)
+        for argv, fresh in zip(_LATER, fresh_process_outputs):
+            assert list(run_cli(capsys, *argv)[:2]) == fresh, argv
+
+    def test_records_seed_read_on_every_call(self, capsys, monkeypatch):
+        argv = ["simulate", "--family", "iid-exp", "--d", "2", "--n", "2", "--reps", "100"]
+        seeds = []
+        for env in ("41", "42"):
+            monkeypatch.setenv("RECORDS_SEED", env)
+            seeds.append(read_table(run_cli(capsys, *argv)[1], from_file=False)[0]["seed"])
+        assert seeds == [41, 42]
+
+
+# ---------------------------------------------------------------------------
+# Bytes of the table writer
+# ---------------------------------------------------------------------------
+
+
+def _reference_cell(value) -> str:
+    # The cell rule of the CSV tables, written out here independently of cli.
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def _reference_csv(rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _reference_cell(v) for k, v in row.items()})
+    return buf.getvalue()
+
+
+def _reference_json(rows: list[dict]) -> str:
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+def _lead(command: str, seed: int | None = None) -> dict:
+    lead = {"schema_version": 1, "command": command, "version": paretorecords.__version__}
+    return lead if seed is None else {**lead, "seed": seed}
+
+
+def _exact_table():
+    argv = ["exact", "--formula", "pstar", "--n", "3", "--d", "2", "--rational"]
+    row = {"formula": "pstar", "n": 3, "d": 2, "value": pn_independent(3, 2), "numerator": 11, "denominator": 18}
+    return argv, [{**_lead("exact"), **row}], EXIT_OK
+
+
+def _simulate_table():
+    argv = ["simulate", "--family", "dirichlet", "--b", "1,2.5", "--n", "6", "--reps", "300", "--seed", "3",
+            "--estimand", "maxima"]
+    result = estimate_maxima(ExperimentConfig(Dirichlet((1.0, 2.5)), 6, 300, 3))
+    lead = {**_lead("simulate", 3), "family": "dirichlet", "b": "1.0,2.5"}
+    rows = [
+        {**lead, "estimand": estimand, "estimator": "indicator", "n": 6, "reps": 300,
+         "estimate": est.point, "std_error": est.std_error}
+        for estimand, est in (("records_mean", result.records), ("maxima_mean", result.maxima))
+    ]
+    return argv, rows, EXIT_OK
+
+
+def _sweep_table():
+    # EXACT_PN["dir"] fails above a = 3 (see flaky_dir): error rows beside value rows.
+    argv = ["sweep", "--family", "dir", "--a-grid", "0.5:8:5", "--n", "4", "--d", "2",
+            "--with-mc", "--reps", "500", "--seed", "2"]
+    rows = [
+        {**_lead("sweep", 2), "family": r.family, "n": r.n, "d": r.d, "a": r.a, "exact": r.exact,
+         "mc": r.estimate, "se": r.std_error, "sigma_gap": r.sigma_gap, "error": r.error}
+        for r in simulate.sweep("dir", a_values=np.geomspace(0.5, 8, 5), n=4, d=2, reps=500, seed=2)
+    ]
+    assert rows[0]["error"] is None and rows[-1]["error"] == 'ValueError: no value at a, "flagged"'
+    return argv, rows, EXIT_PARTIAL
+
+
+def _check_table():
+    argv = ["check", "--check", "p2", "--family", "pa", "--d", "2", "--a", "1.5", "--samples", "2000",
+            "--seed", "9"]
+    spec = ExponentialScaleMixture(2, 1.5)
+    result = check_p2_bound(spec, 2000, make_rng(9, 0))
+    row = {"check": "p2", "spec": json.dumps(spec.to_json()), "samples": 2000, "estimate": result.estimate,
+           "std_error": result.std_error, "bound": result.bound, "margin_sigma": result.margin_sigma,
+           "verdict": "pass" if result.margin_sigma <= 4.0 else "violation"}
+    return argv, [{**_lead("check", 9), **row}], EXIT_OK
+
+
+class TestWriterBytes:
+    @pytest.fixture(autouse=True)
+    def flaky_dir(self, monkeypatch):
+        real = simulate.EXACT_PN["dir"]
+
+        def flaky(n, d, a):
+            if np.ndim(a) or a > 3.0:
+                raise ValueError('no value at a, "flagged"')
+            return real(n, d, a)
+
+        monkeypatch.setitem(simulate.EXACT_PN, "dir", flaky)
+
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    @pytest.mark.parametrize("table", [_exact_table, _simulate_table, _sweep_table, _check_table],
+                             ids=["exact", "simulate", "sweep", "check"])
+    def test_stdout_and_file(self, capsys, tmp_path, table, out):
+        argv, rows, expected_code = table()
+        reference = _reference_csv(rows) if out == "csv" else _reference_json(rows)
+        path = tmp_path / "table.txt"
+        assert run_cli(capsys, *argv, "--out", out)[:2] == (expected_code, reference)
+        assert main([*argv, "--out", out, "--out-file", str(path)]) == expected_code
+        assert path.read_bytes() == reference.encode()
+
+    def test_trajectory_file(self, capsys, tmp_path):
+        path = tmp_path / "traj.csv"
+        argv = ["simulate", "--family", "pa", "--d", "2", "--a", "1", "--n", "30", "--reps", "10", "--seed", "5"]
+        assert run_cli(capsys, *argv, "--out", "json", "--emit-trajectory", str(path))[0] == EXIT_OK
+        rows, running = [], 0
+        result = simulate_trajectory(ExponentialScaleMixture(2, 1.0), 30, make_rng(5, 0))
+        for step, outcome in enumerate(result.outcomes, start=1):
+            if outcome.is_record:
+                running += 1 - outcome.broken
+            rows.append({"step": step, "is_record": outcome.is_record, "broken": outcome.broken,
+                         "maxima_count": running})
+        assert path.read_bytes() == _reference_csv(rows).encode()
+
+
+# ---------------------------------------------------------------------------
+# pa draws at tiny a
+# ---------------------------------------------------------------------------
+
+_TINY_PA = ["--family", "pa", "--d", "3", "--a", "0.001"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", *_TINY_PA, "--n", "10", "--reps", "2000", "--seed", "1"],
+        ["simulate", *_TINY_PA, "--n", "10", "--reps", "2000", "--seed", "1", "--estimator", "survival"],
+        ["simulate", *_TINY_PA, "--n", "10", "--reps", "2000", "--seed", "1", "--estimand", "maxima"],
+        ["simulate", *_TINY_PA, "--n", "10", "--reps", "200000", "--seed", "1", "--workers", "2"],
+        ["check", "--check", "p2", *_TINY_PA, "--samples", "2000", "--seed", "1"],
+        ["check", "--check", "nuod", *_TINY_PA, "--samples", "2000", "--seed", "1"],
+        ["check", "--check", "rp-order", *_TINY_PA, "--family2", "iid-exp", "--samples", "2000"],
+        ["check", "--check", "concomitant", *_TINY_PA, "--n", "10", "--reps", "200"],
+    ],
+    ids=["indicator", "survival", "maxima", "two-workers", "p2", "nuod", "rp-order", "concomitant"],
+)
+def test_pa_tiny_a_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_PARAMETER, "")
+    assert err.startswith("error: draws of pa at a = 0.001 are not finite")
+
+
+def test_pa_tiny_a_sweep_row_fails(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--family", "pa", "--a-grid", "0.001:1:2", "--n", "10", "--d", "3",
+        "--with-mc", "--reps", "2000", "--seed", "1",
+    )
+    assert code == EXIT_PARTIAL
+    tiny, unit = read_table(out, from_file=False)
+    assert tiny["error"].startswith("PrecisionLossError: draws of pa at a = 0.001")
+    assert unit["error"] is None and abs(unit["sigma_gap"]) < 5.0

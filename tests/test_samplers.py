@@ -12,10 +12,12 @@ from paretorecords import (
     InvalidParameterError,
     MarginalDirichlet,
     Mixture,
+    PrecisionLossError,
     make_rng,
     sample_observations,
     survival,
 )
+from paretorecords.samplers import finite_draws
 
 
 class TestStreams:
@@ -195,6 +197,32 @@ class TestSamplerFormulas:
         rows[inner] = _dirichlet_formula(rng, int(inner.sum()), (0.2,) * d)
         want[pick] = rows
         assert np.array_equal(got, want)
+
+
+class TestFiniteDraws:
+    # At a = 1e-3 about half of the Gamma(a) scales underflow and E / G is inf.
+    TINY = ExponentialScaleMixture(3, 1e-3)
+
+    def test_sampler_itself_stays_permissive(self):
+        with np.errstate(all="ignore"):
+            x = sample_observations(self.TINY, 1000, make_rng(1))
+        assert 0 < np.isinf(x).any(axis=1).sum() < 1000
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [(TINY, "pa at a = 0.001"), (Mixture(0.5, IidExponential(3), TINY), '"family": "mixture"')],
+        ids=["pa", "mixture"],
+    )
+    def test_inf_draws_raise(self, spec, named):
+        with pytest.raises(PrecisionLossError, match=named):
+            with finite_draws(spec):
+                sample_observations(spec, 1000, make_rng(1))
+
+    def test_finite_draws_pass_unchanged(self):
+        spec = ExponentialScaleMixture(3, 1.1)
+        with finite_draws(spec):
+            got = sample_observations(spec, 1000, make_rng(2))
+        assert np.array_equal(got, sample_observations(spec, 1000, make_rng(2)))
 
 
 def _triangle_rejection_sampler(rng, count):

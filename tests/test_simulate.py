@@ -326,6 +326,10 @@ class TestTrajectory:
         result = simulate_trajectory(MarginalDirichlet(2, 1.0), 50, make_rng(21))
         assert len(result.outcomes) == 50
 
+    def test_tiny_a_pa_raises(self):
+        with pytest.raises(PrecisionLossError, match="pa at a = 0.001"):
+            simulate_trajectory(ExponentialScaleMixture(3, 1e-3), 50, make_rng(23))
+
     def test_reproducible(self):
         a = simulate_trajectory(ExponentialScaleMixture(2, 1.0), 30, make_rng(22))
         b = simulate_trajectory(ExponentialScaleMixture(2, 1.0), 30, make_rng(22))
