@@ -80,20 +80,20 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def median_interval(values: list[float], level: float = 0.95) -> dict:
+def median_interval(values: list[float]) -> dict:
     """Median of ``values`` and an interval that covers the true median with
     probability ``coverage``, whatever the distribution.
 
     The interval runs from the k-th smallest to the k-th largest value, for
-    the largest k with 2 P(B <= k - 1) <= 1 - level, B ~ Binomial(n, 1/2):
+    the largest k with 2 P(B <= k - 1) <= 0.05, B ~ Binomial(n, 1/2):
     the 2nd and 9th of 10 values (coverage 0.979). Below six values no k
-    meets the level, and the interval is the full range, with its lower
+    meets 95 %, and the interval is the full range, with its lower
     coverage (Kalibera & Jones, ISMM 2013, argue for intervals on the ratio).
     """
     ordered, n = sorted(values), len(values)
     tail = [math.comb(n, i) / 2**n for i in range(n + 1)]  # P(B = i)
     k = 1
-    while k < n // 2 and 2 * sum(tail[:k + 1]) <= 1 - level:
+    while k < n // 2 and 2 * sum(tail[:k + 1]) <= 0.05:
         k += 1
     return {"median": statistics.median(ordered), "lo": ordered[k - 1], "hi": ordered[n - k],
             "coverage": 1 - 2 * sum(tail[:k])}
