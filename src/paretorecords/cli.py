@@ -37,7 +37,6 @@ import os
 import sys
 import time
 from dataclasses import fields
-from itertools import repeat
 
 import numpy as np
 
@@ -121,18 +120,11 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _format_column(values: tuple) -> list[str]:
-    # One rule per column: an all-float column, the bulk of a long sweep, skips the per-cell dispatch.
-    if set(map(type, values)) == {float}:
-        return list(map(format, values, repeat(".12g")))
-    return list(map(_format_value, values))
-
-
 def emit_rows(const: dict, header, rows, out: str, out_file: str | None) -> None:
     """Write one table as CSV (with header) or JSON lines to stdout or a file.
 
     ``const`` maps the leading columns, which hold one value in every row,
-    to that value; ``header`` names the other columns (at least one), and
+    to that value; ``header`` names the other columns, and
     each row is a tuple of their values. A CSV cell is ``_format_value`` of
     its value, quoted as RFC 4180 needs; a JSON line keeps the native values.
     """
@@ -141,7 +133,7 @@ def emit_rows(const: dict, header, rows, out: str, out_file: str | None) -> None
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([*const, *header])
         prefix = tuple(map(_format_value, const.values()))
-        writer.writerows(prefix + cells for cells in zip(*map(_format_column, zip(*rows))))
+        writer.writerows(prefix + tuple(map(_format_value, row)) for row in rows)
         text = buf.getvalue()
     else:
         lead = list(const.items())

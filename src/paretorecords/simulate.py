@@ -511,7 +511,8 @@ def sweep(
     sampling; a positive ``reps`` gives each row a Monte Carlo estimate
     (``estimator`` is ``"indicator"`` or ``"survival"``), its SE and the gap
     to the exact value in SE units, and a negative one raises. A failing row
-    is marked and the sweep continues.
+    is marked and the sweep continues; a row whose estimate fails keeps its
+    exact value.
 
     The exact column comes from one ``EXACT_PN[family]`` call on the whole
     grid. If that call raises, the grid is evaluated again point by point, so
@@ -533,9 +534,9 @@ def sweep(
 
     rows: list[SweepRow] = []
     for idx, aa in enumerate(grid):
+        exact = estimate = std_error = sigma_gap = None
         try:
             exact = exact_column[idx] if exact_column is not None else EXACT_PN[family](n, d, aa)
-            estimate = std_error = sigma_gap = None
             if reps > 0:
                 config = ExperimentConfig(spec_from_json({"family": family, "d": d, "a": aa}), n, reps, seed, workers)
                 fn = estimate_record_prob_survival if estimator == "survival" else estimate_record_prob
@@ -547,5 +548,5 @@ def sweep(
                     sigma_gap = 0.0 if estimate == exact else math.inf
             rows.append(SweepRow(family, n, d, aa, exact, estimate, std_error, sigma_gap))
         except Exception as exc:  # noqa: BLE001 - row-level isolation is the contract
-            rows.append(SweepRow(family, n, d, aa, None, None, None, None, f"{type(exc).__name__}: {exc}"))
+            rows.append(SweepRow(family, n, d, aa, exact, None, None, None, f"{type(exc).__name__}: {exc}"))
     return rows

@@ -681,4 +681,6 @@ def test_pa_tiny_a_sweep_row_fails(capsys):
     assert code == EXIT_PARTIAL
     tiny, unit = read_table(out, from_file=False)
     assert tiny["error"].startswith("PrecisionLossError: draws of pa at a = 0.001")
+    assert tiny["exact"] == pytest.approx(0.10015, abs=5e-6)
+    assert tiny["mc"] is None and tiny["se"] is None and tiny["sigma_gap"] is None
     assert unit["error"] is None and abs(unit["sigma_gap"]) < 5.0
