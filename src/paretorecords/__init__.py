@@ -7,9 +7,10 @@ independent coordinates and for two parametric dependence families
 (marginalized Dirichlet, Exponential scale mixtures) -- and estimates it,
 along with record and maxima counts, by reproducible Monte Carlo.
 
-``scipy.special`` is imported inside the few functions that call it, so
-the package import, and every command that needs no special function,
-loads no part of scipy.
+The package needs numpy and the standard library only. The few special
+functions it uses (a chi-square tail, power sums, ln Gamma and two
+incomplete Gamma and Beta ratios at integer order) are finite sums or
+asymptotic series in ``_special``, each with a tested tolerance.
 """
 
 from .errors import (

@@ -57,6 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._special import log_gamma, power_sum_between
 from .errors import DimensionMismatchError, InvalidParameterError, PrecisionLossError
 from .model import DistributionSpec, _require_int
 
@@ -138,7 +139,8 @@ def pn_independent_exact(n: int, d: int) -> Fraction:
     return roman_harmonic(n, d - 1) / n
 
 
-# Below this n, pn_independent sums the power sums term by term.
+# pn_independent sums the power sums term by term below this j, and their
+# tails from it on by Euler-Maclaurin.
 _POWER_SUM_DIRECT_N = 64
 
 
@@ -149,22 +151,19 @@ def pn_independent(n: int, d: int) -> float:
     homogeneous symmetric polynomial h_k(1, 1/2, ..., 1/n), computed from the
     power sums P_i = sum_{j<=n} j^(-i) by Newton's identities
     k h_k = sum_{i<=k} P_i h_(k-i): O(d^2) time and O(1) memory in n, with
-    every term positive. P_1 = psi(n+1) + gamma and P_i = zeta(i) - zeta(i, n+1)
-    (summed directly for small n). Accurate to ~1e-14 relative.
+    every term positive. Each P_i sums j^-i directly for j < 64; from n = 64
+    on it adds the Euler-Maclaurin tail zeta(i, 64) - zeta(i, n+1), which
+    for i = 1 is the asymptotic series of psi(n+1) - psi(64). Within 1e-14
+    relative of the exact value for d <= 10 (checked against mpmath up to
+    n = 10^12).
     """
     n, d = _require_int(n, 1, "n"), _require_int(d, 1, "d")
     k = d - 1
     orders = np.arange(1.0, k + 1)
-    if n < _POWER_SUM_DIRECT_N:
-        j = np.arange(float(n), 0.0, -1.0)  # smallest terms first
-        power = (j ** -orders[:, None]).sum(axis=1)
-    else:
-        from scipy.special import digamma, zeta
-
-        nf = float(n)
-        power = np.empty(k)
-        power[:1] = digamma(nf + 1.0) + np.euler_gamma
-        power[1:] = zeta(orders[1:], 1.0) - zeta(orders[1:], nf + 1.0)
+    j = np.arange(float(min(n, _POWER_SUM_DIRECT_N - 1)), 0.0, -1.0)  # smallest terms first
+    power = (j ** -orders[:, None]).sum(axis=1)
+    if n >= _POWER_SUM_DIRECT_N:
+        power += power_sum_between(orders, _POWER_SUM_DIRECT_N, n + 1)
     h = [1.0]
     for m in range(1, k + 1):
         h.append(math.fsum(power[i - 1] * h[m - i] for i in range(1, m + 1)) / m)
@@ -277,25 +276,25 @@ def _stirling_tail(z):
 def _log_beta_n(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """ln B(x, n) for x > 0 (any shape) and integer n >= 2, and the size of the logs it sums.
 
-    ``scipy.special.betaln`` loses up to 2e-9 here at large n: the answer is
-    a small difference of large log-Gammas. Below ``_STIRLING_MIN_N`` this
-    uses B(x, n) = (1/x) prod_{j<n} 1/(1 + x/j); beyond, ln G(n+x) - ln G(n)
-    = (n - 1/2) log1p(x/n) + x ln(n+x) - x plus the difference of the
-    Stirling tails at n+x and n, which stays accurate for large x. The error
-    of ln B is a few ulps of the second value, the summed magnitude of its
-    pieces: close to |ln B| while x << n, and larger only where B is small.
+    A difference of log-Gammas loses up to 2e-9 here at large n: the answer
+    is a small difference of large numbers. Below ``_STIRLING_MIN_N`` this
+    uses B(x, n) = (1/x) prod_{j<n} 1/(1 + x/j); beyond, ln G(x) from
+    ``math.lgamma`` minus ln G(n+x) - ln G(n) = (n - 1/2) log1p(x/n) +
+    x ln(n+x) - x plus the difference of the Stirling tails at n+x and n,
+    which stays accurate for large x. The error of ln B is a few ulps of the
+    second value, the summed magnitude of its pieces, in which ln G(x)
+    counts with its own error bound: close to |ln B| while x << n, and
+    larger only where B is small.
     """
     if n < _STIRLING_MIN_N:
         log_x = np.log(x)
         ratio = x[..., None] / np.arange(1.0, n)
         log_rise = np.log1p(ratio, out=ratio).sum(axis=-1)
         return -log_x - log_rise, np.abs(log_x) + log_rise
-    from scipy.special import gammaln
-
     nf = float(n)
-    log_gamma = gammaln(x)
+    lg, lg_ulps = log_gamma(x)
     log_rise = (nf - 0.5) * np.log1p(x / nf) + x * np.log(nf + x) - x + _stirling_tail(nf + x) - _stirling_tail(nf)
-    return log_gamma - log_rise, np.abs(log_gamma) + log_rise
+    return lg - log_rise, lg_ulps + log_rise
 
 
 def _pn_beta_terms(n: int, d: int, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,11 +304,9 @@ def _pn_beta_terms(n: int, d: int, a: np.ndarray, s: np.ndarray) -> tuple[np.nda
     at once and summed per point with ``math.fsum``; a point's bound is inf
     when its computed sum is not positive.
     """
-    from scipy.special import gammaln
-
     ak = a[:, None] + np.arange(d)
     log_s = np.array([math.log(v) for v in s.tolist()])
-    log_fact = gammaln(np.arange(1.0, d + 1.0))  # ln k! for k < d
+    log_fact = np.array([math.log(math.factorial(k)) for k in range(d)])  # ln k! for k < d
     log_binom = math.lgamma(d) - log_fact - log_fact[::-1]
     # At extreme a a term can overflow (then no bound holds) or underflow
     # to 0 with an infinite size (then it adds no error).

@@ -42,6 +42,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._special import beta_cdf_integer_b, poisson_cdf
 from .errors import InvalidParameterError, RecordsError, UnsupportedSpecError
 
 __all__ = [
@@ -88,6 +89,12 @@ def _require_positive(x, field: str) -> float:
     if not np.isfinite(v) or v <= 0.0:
         raise InvalidParameterError(f"{field} must be finite and > 0, got {x!r}")
     return v
+
+
+def _beta_law_cdf(a: float, d: int, w, power: float):
+    # P(Z^power <= w) = I_z(a, d) at z = w^(1/power), for Z ~ Beta(a, d).
+    with np.errstate(divide="ignore"):
+        return beta_cdf_integer_b(a, d, np.log(np.clip(w, 0.0, 1.0)) / power)
 
 
 class DistributionSpec:
@@ -163,11 +170,11 @@ class IidExponential(DistributionSpec):
 
     def survival_value_cdf(self, w):
         """S(X) = exp(-T) with T ~ Gamma(d): G(w) = Q(d, -ln w), the
-        regularized upper incomplete gamma function."""
-        from scipy.special import gammaincc
-
+        regularized upper incomplete gamma function, which at integer d is
+        w sum_{r<d} (-ln w)^r / r!."""
+        w = np.clip(w, 0.0, 1.0)
         with np.errstate(divide="ignore"):
-            return gammaincc(self.d, -np.log(np.clip(w, 0.0, 1.0)))
+            return poisson_cdf(w, -np.log(w), self.d)
 
 
 @dataclass(frozen=True)
@@ -204,9 +211,7 @@ class MarginalDirichlet(DistributionSpec):
 
     def survival_value_cdf(self, w):
         """S(X) = Z^(d+a-1) with Z ~ Beta(a, d): G(w) = I_{w^(1/(d+a-1))}(a, d)."""
-        from scipy.special import betainc
-
-        return betainc(self.a, self.d, np.clip(w, 0.0, 1.0) ** (1.0 / (self.d + self.a - 1.0)))
+        return _beta_law_cdf(self.a, self.d, w, self.d + self.a - 1.0)
 
 
 @dataclass(frozen=True)
@@ -235,9 +240,7 @@ class ExponentialScaleMixture(DistributionSpec):
 
     def survival_value_cdf(self, w):
         """S(X) = Z^a with Z ~ Beta(a, d): G(w) = I_{w^(1/a)}(a, d)."""
-        from scipy.special import betainc
-
-        return betainc(self.a, self.d, np.clip(w, 0.0, 1.0) ** (1.0 / self.a))
+        return _beta_law_cdf(self.a, self.d, w, self.a)
 
 
 @dataclass(frozen=True)

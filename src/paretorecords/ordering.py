@@ -54,6 +54,10 @@ __all__ = [
 #: count; a block holds two boolean masks of this size.
 _NUOD_BLOCK = 1 << 22
 
+#: Most probes :func:`default_probe_grid` builds: the default 3^d grid up to
+#: d = 9. Each further dimension triples the grid and the count's cost.
+MAX_GRID_PROBES = 3**9
+
 
 @dataclass(frozen=True)
 class SurvivalTransformSample:
@@ -190,8 +194,18 @@ def default_probe_grid(
     quantiles=(0.25, 0.5, 0.75),
     pilot: int = 4096,
 ) -> np.ndarray:
-    """Product grid of per-coordinate empirical quantiles (3^d points by default)."""
+    """Product grid of per-coordinate empirical quantiles (3^d points by default).
+
+    A grid of more than :data:`MAX_GRID_PROBES` points raises
+    InvalidParameterError before anything is drawn.
+    """
     validate(spec)
+    size = len(quantiles) ** spec.dim
+    if size > MAX_GRID_PROBES:
+        raise InvalidParameterError(
+            f"the probe grid would hold {len(quantiles)}^{spec.dim} = {size} probes, above "
+            f"ordering.MAX_GRID_PROBES = {MAX_GRID_PROBES} (d <= 9 at 3 quantiles)"
+        )
     with finite_draws(spec):
         x = sample_observations(spec, pilot, rng)
     marks = np.quantile(x, quantiles, axis=0)  # (len(q), d)

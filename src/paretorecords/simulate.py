@@ -55,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._special import chi2_sf
 from .errors import InvalidParameterError
 from .exact import pn_independent, pn_marginal_dirichlet, pn_scale_mixture, survival
 from .frontier import StreamResult, _dominates, make_frontier, run_stream
@@ -445,8 +446,6 @@ def _chi2_two_sample(h1: np.ndarray, h2: np.ndarray, min_expected: float = 5.0):
     Adjacent value bins are pooled left to right until both expected cells
     reach ``min_expected``; a trailing short bin is merged backwards.
     """
-    from scipy.special import chdtrc
-
     width = max(h1.size, h2.size)
     o1 = np.zeros(width)
     o2 = np.zeros(width)
@@ -478,7 +477,7 @@ def _chi2_two_sample(h1: np.ndarray, h2: np.ndarray, min_expected: float = 5.0):
         e2 = pooled * n2 / total
         stat += (b1 - e1) ** 2 / e1 + (b2 - e2) ** 2 / e2
     dof = len(bins) - 1
-    return float(stat), dof, float(chdtrc(dof, stat))
+    return float(stat), dof, chi2_sf(dof, float(stat))
 
 
 # ---------------------------------------------------------------------------

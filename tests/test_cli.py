@@ -378,6 +378,11 @@ class TestCheckCommand:
         assert code == EXIT_VIOLATION
         assert json.loads(out)["verdict"] == "violation"
 
+    def test_nuod_grid_above_limit_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--check", "nuod", "--family", "iid-exp", "--d", "10")
+        assert code == EXIT_PARAMETER
+        assert out == "" and "ordering.MAX_GRID_PROBES = 19683" in err
+
     def test_concomitant_pass(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -395,24 +400,31 @@ class TestCheckCommand:
         assert code == EXIT_PARAMETER
         assert out == "" and "workers must be an integer >= 1" in err
 
-# scipy.special loads on first use. A fresh interpreter shows which commands
-# load it: a test process has long since imported scipy itself.
-_COLD_MAIN = """
+# The package runs on numpy alone. A fresh interpreter shows whether a
+# command loads any scipy module: a test process has long since imported
+# scipy itself.
+_SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+
+# One fresh interpreter runs every job in turn and reports, after each,
+# its result and whether a scipy module has been loaded so far.
+_COLD_JOBS = f"""
 import contextlib, io, json, sys
+import numpy as np
 from paretorecords.cli import main
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, out.getvalue(), "scipy.special" in sys.modules]))
+from paretorecords.model import spec_from_json
+results = []
+for kind, arg in json.loads(sys.argv[1]):
+    if kind == "main":
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(arg)
+        result = [code, out.getvalue()]
+    else:
+        result = spec_from_json(arg).survival_value_cdf(np.linspace(0.0, 1.0, 17)).tolist()
+    results.append([result, {_SCIPY_LOADED}])
+print(json.dumps(results))
 """
 
-_COLD_SURVIVAL_CDF = """
-import json, sys
-import numpy as np
-from paretorecords.model import spec_from_json
-value = spec_from_json(sys.argv[1]).survival_value_cdf(np.linspace(0.0, 1.0, 17)).tolist()
-print(json.dumps([value, "scipy.special" in sys.modules]))
-"""
 
 def run_cold(script, *args):
     src = Path(paretorecords.__file__).resolve().parent.parent
@@ -425,55 +437,71 @@ def run_cold(script, *args):
 
 
 def test_import_loads_no_scipy():
-    # Every command pays the package import; scipy.special alone takes about
-    # half of it, and the package imports it only where a function needs it.
-    script = "import sys, paretorecords, paretorecords.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert run_cold(script) == []
+    script = f"import json, sys, paretorecords, paretorecords.cli; print(json.dumps({_SCIPY_LOADED}))"
+    assert run_cold(script) is False
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate", "--family", "iid-exp", "--d", "2", "--n", "5", "--reps", "1000", "--seed", "1"],
-        ["simulate", "--family", "pa", "--d", "2", "--a", "1", "--n", "5", "--reps", "1000", "--estimator", "survival"],
-        ["simulate", "--family", "iid-exp", "--d", "2", "--n", "5", "--reps", "1000", "--estimand", "maxima"],
-        ["check", "--check", "p2", "--family", "pa", "--d", "2", "--a", "1", "--samples", "10000", "--seed", "9"],
-        ["check", "--check", "nuod", "--family", "dir", "--d", "2", "--a", "1", "--samples", "10000", "--seed", "11"],
-        ["exact", "--formula", "roman", "--n", "3", "--k", "1", "--rational"],
-        ["exact", "--formula", "pstar", "--n", "63", "--d", "3"],
-    ],
-    ids=["simulate-indicator", "simulate-survival", "simulate-maxima", "check-p2", "check-nuod",
-         "exact-roman-rational", "exact-pstar-63"],
-)
-def test_command_loads_no_scipy_special(argv):
-    code, _, loaded = run_cold(_COLD_MAIN, json.dumps(argv))
+_NO_SPECIAL_FUNCTION = {
+    "simulate-indicator": ["simulate", "--family", "iid-exp", "--d", "2", "--n", "5", "--reps", "1000", "--seed", "1"],
+    "simulate-survival": ["simulate", "--family", "pa", "--d", "2", "--a", "1", "--n", "5", "--reps", "1000",
+                          "--estimator", "survival"],
+    "simulate-maxima": ["simulate", "--family", "iid-exp", "--d", "2", "--n", "5", "--reps", "1000",
+                        "--estimand", "maxima"],
+    "check-p2": ["check", "--check", "p2", "--family", "pa", "--d", "2", "--a", "1", "--samples", "10000",
+                 "--seed", "9"],
+    "check-nuod": ["check", "--check", "nuod", "--family", "dir", "--d", "2", "--a", "1", "--samples", "10000",
+                   "--seed", "11"],
+    "exact-roman-rational": ["exact", "--formula", "roman", "--n", "3", "--k", "1", "--rational"],
+    "exact-pstar-63": ["exact", "--formula", "pstar", "--n", "63", "--d", "3"],
+}
+# Each reaches a special function of ``_special``, named by the scipy
+# function it replaced where there was one.
+_SPECIAL_FUNCTION = {
+    "chdtrc": ["check", "--check", "concomitant", "--family", "iid-exp", "--d", "2", "--n", "20", "--reps", "2000",
+               "--seed", "12"],
+    "gammaln-stirling": ["exact", "--formula", "pdir", "--n", "1000", "--d", "3", "--a", "2"],
+    "gammaln-stirling-ppa": ["exact", "--formula", "ppa", "--n", "65", "--d", "4", "--a", "0.3"],
+    "gammaln-beta-terms": ["exact", "--formula", "ppa", "--n", "5", "--d", "3", "--a", "2"],
+    "digamma-zeta": ["exact", "--formula", "pstar", "--n", "64", "--d", "3"],
+    "sweep": ["sweep", "--family", "dir", "--a-grid", "0.1:100:7", "--n", "200", "--d", "4"],
+    "check-limits": ["check", "--check", "limits", "--family", "pa", "--d", "3", "--n", "70"],
+    "check-rp-order": ["check", "--check", "rp-order", "--family", "dir", "--d", "2", "--a", "1.5",
+                       "--family2", "iid-exp", "--d2", "2", "--samples", "2000", "--seed", "4"],
+}
+_CDF_SPECS = {
+    spec.family: spec for spec in (IidExponential(3), MarginalDirichlet(3, 0.7), ExponentialScaleMixture(2, 2.5))
+}
+
+
+@pytest.fixture(scope="module")
+def cold_results():
+    """Every cold job's result and scipy flag, from one fresh interpreter."""
+    jobs = [("main", argv) for argv in {**_NO_SPECIAL_FUNCTION, **_SPECIAL_FUNCTION}.values()]
+    jobs += [("cdf", spec.to_json()) for spec in _CDF_SPECS.values()]
+    results = run_cold(_COLD_JOBS, json.dumps(jobs))
+    return {json.dumps(job): result for job, result in zip(jobs, results)}
+
+
+@pytest.mark.parametrize("name", _NO_SPECIAL_FUNCTION)
+def test_command_loads_no_scipy_special(cold_results, name):
+    (code, _), loaded = cold_results[json.dumps(["main", _NO_SPECIAL_FUNCTION[name]])]
     assert code == EXIT_OK
     assert not loaded
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["check", "--check", "concomitant", "--family", "iid-exp", "--d", "2", "--n", "20", "--reps", "2000", "--seed", "12"],
-        ["exact", "--formula", "pdir", "--n", "1000", "--d", "3", "--a", "2"],
-        ["exact", "--formula", "ppa", "--n", "5", "--d", "3", "--a", "2"],
-        ["exact", "--formula", "pstar", "--n", "64", "--d", "3"],
-    ],
-    # The lazy sites each command reaches: _pn_beta_terms also runs for pdir.
-    ids=["chdtrc", "gammaln-stirling", "gammaln-beta-terms", "digamma-zeta"],
-)
-def test_cold_command_writes_same_bytes(capsys, argv):
-    code, out, loaded = run_cold(_COLD_MAIN, json.dumps(argv))
-    assert loaded
+@pytest.mark.parametrize("name", _SPECIAL_FUNCTION)
+def test_cold_command_writes_same_bytes(capsys, cold_results, name):
+    argv = _SPECIAL_FUNCTION[name]
+    (code, out), loaded = cold_results[json.dumps(["main", argv])]
+    assert not loaded
     assert (code, out) == run_cli(capsys, *argv)[:2]
 
 
-@pytest.mark.parametrize(
-    "spec", [IidExponential(3), MarginalDirichlet(3, 0.7), ExponentialScaleMixture(2, 2.5)], ids=lambda spec: spec.family
-)
-def test_cold_survival_value_cdf_same_bits(spec):
-    value, loaded = run_cold(_COLD_SURVIVAL_CDF, json.dumps(spec.to_json()))
-    assert loaded
+@pytest.mark.parametrize("family", _CDF_SPECS)
+def test_cold_survival_value_cdf_same_bits(cold_results, family):
+    spec = _CDF_SPECS[family]
+    value, loaded = cold_results[json.dumps(["cdf", spec.to_json()])]
+    assert not loaded
     assert value == spec.survival_value_cdf(np.linspace(0.0, 1.0, 17)).tolist()
 
 
@@ -499,7 +527,7 @@ _LATER = [
 
 @pytest.fixture(scope="module")
 def fresh_process_outputs():
-    return [run_cold(_COLD_MAIN, json.dumps(argv))[:2] for argv in _LATER]
+    return [run_cold(_COLD_JOBS, json.dumps([["main", argv]]))[0][0] for argv in _LATER]
 
 
 class TestSharedParser:

@@ -225,6 +225,22 @@ class TestNuod:
         assert np.array_equal(blocked.product, whole.product)
         assert np.array_equal(blocked.margin_sigma, whole.margin_sigma)
 
+    def test_probe_grid_limit(self, monkeypatch):
+        # The default grid has 3^d probes: d = 9 is the largest under the limit.
+        assert ordering.MAX_GRID_PROBES == 3**9
+        probes = default_probe_grid(IidExponential(9), make_rng(18))
+        assert probes.shape == (3**9, 9)
+        # One dimension more fails before the pilot draw or the grid.
+        def fail(*args, **kwargs):
+            raise AssertionError("drew or built the grid")
+
+        monkeypatch.setattr(ordering, "sample_observations", fail)
+        monkeypatch.setattr(ordering.np, "meshgrid", fail)
+        with pytest.raises(InvalidParameterError, match=r"3\^10 = 59049 probes, above ordering.MAX_GRID_PROBES = 19683"):
+            default_probe_grid(IidExponential(10), make_rng(18))
+        with pytest.raises(InvalidParameterError, match="MAX_GRID_PROBES"):
+            default_probe_grid(IidExponential(2), make_rng(18), quantiles=np.linspace(0.01, 0.99, 200))
+
     @pytest.mark.parametrize("cells_per_block", [None, 1, 7])
     @pytest.mark.parametrize(
         "spec",
