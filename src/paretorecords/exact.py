@@ -306,7 +306,9 @@ def _pn_beta_terms(n: int, d: int, a: np.ndarray, s: np.ndarray) -> tuple[np.nda
     """
     ak = a[:, None] + np.arange(d)
     log_s = np.array([math.log(v) for v in s.tolist()])
-    log_fact = np.array([math.log(math.factorial(k)) for k in range(d)])  # ln k! for k < d
+    # ln k! for k < d, within an ulp while k! fits a float; beyond, lgamma
+    # spares building ever larger integers.
+    log_fact = np.array([math.log(math.factorial(k)) if k < 171 else math.lgamma(k + 1.0) for k in range(d)])
     log_binom = math.lgamma(d) - log_fact - log_fact[::-1]
     # At extreme a a term can overflow (then no bound holds) or underflow
     # to 0 with an infinite size (then it adds no error).

@@ -200,10 +200,12 @@ def default_probe_grid(
     InvalidParameterError before anything is drawn.
     """
     validate(spec)
-    size = len(quantiles) ** spec.dim
-    if size > MAX_GRID_PROBES:
+    levels = len(quantiles)
+    # A capped exponent keeps a huge d from building a huge integer; with two
+    # or more levels, 15 dimensions already exceed the limit.
+    if levels ** min(spec.dim, MAX_GRID_PROBES.bit_length()) > MAX_GRID_PROBES:
         raise InvalidParameterError(
-            f"the probe grid would hold {len(quantiles)}^{spec.dim} = {size} probes, above "
+            f"the probe grid would hold {levels}^{spec.dim} probes, above "
             f"ordering.MAX_GRID_PROBES = {MAX_GRID_PROBES} (d <= 9 at 3 quantiles)"
         )
     with finite_draws(spec):
