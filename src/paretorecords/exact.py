@@ -57,7 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._special import log_gamma, power_sum_between
+from ._special import log_gamma, power_sums
 from .errors import DimensionMismatchError, InvalidParameterError, PrecisionLossError
 from .model import DistributionSpec, _require_int
 
@@ -139,8 +139,7 @@ def pn_independent_exact(n: int, d: int) -> Fraction:
     return roman_harmonic(n, d - 1) / n
 
 
-# pn_independent sums the power sums term by term below this j, and their
-# tails from it on by Euler-Maclaurin.
+# Below this n, pn_independent sums the power sums term by term.
 _POWER_SUM_DIRECT_N = 64
 
 
@@ -151,19 +150,20 @@ def pn_independent(n: int, d: int) -> float:
     homogeneous symmetric polynomial h_k(1, 1/2, ..., 1/n), computed from the
     power sums P_i = sum_{j<=n} j^(-i) by Newton's identities
     k h_k = sum_{i<=k} P_i h_(k-i): O(d^2) time and O(1) memory in n, with
-    every term positive. Each P_i sums j^-i directly for j < 64; from n = 64
-    on it adds the Euler-Maclaurin tail zeta(i, 64) - zeta(i, n+1), which
-    for i = 1 is the asymptotic series of psi(n+1) - psi(64). Within 1e-14
-    relative of the exact value for d <= 10 (checked against mpmath up to
-    n = 10^12).
+    every term positive. Below n = 64 each P_i sums its terms directly; from
+    there on P_1 = psi(n+1) + gamma and P_i = zeta(i) - zeta(i, n+1), from
+    the asymptotic series of psi and the Euler-Maclaurin sum of the Hurwitz
+    zeta (``_special.power_sums``). Within 1e-14 relative of the exact value
+    for d <= 10 (checked against mpmath up to n = 10^12).
     """
     n, d = _require_int(n, 1, "n"), _require_int(d, 1, "d")
     k = d - 1
     orders = np.arange(1.0, k + 1)
-    j = np.arange(float(min(n, _POWER_SUM_DIRECT_N - 1)), 0.0, -1.0)  # smallest terms first
-    power = (j ** -orders[:, None]).sum(axis=1)
-    if n >= _POWER_SUM_DIRECT_N:
-        power += power_sum_between(orders, _POWER_SUM_DIRECT_N, n + 1)
+    if n < _POWER_SUM_DIRECT_N:
+        j = np.arange(float(n), 0.0, -1.0)  # smallest terms first
+        power = (j ** -orders[:, None]).sum(axis=1)
+    else:
+        power = power_sums(k, n)
     h = [1.0]
     for m in range(1, k + 1):
         h.append(math.fsum(power[i - 1] * h[m - i] for i in range(1, m + 1)) / m)
