@@ -27,8 +27,13 @@ def log_gamma(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     flat = x.ravel().tolist()
     value = [math.lgamma(v) for v in flat]
-    ulps = [8.0 + abs(g) * (2.0 if v > 3.0 else 1.0) for v, g in zip(flat, value)]
+    ulps = [lgamma_ulps(v, g) for v, g in zip(flat, value)]
     return np.reshape(value, x.shape), np.reshape(ulps, x.shape)
+
+
+def lgamma_ulps(x: float, g: float) -> float:
+    """The error bound of ``math.lgamma(x) = g`` in ulps that ``log_gamma`` returns."""
+    return 8.0 + abs(g) * (2.0 if x > 3.0 else 1.0)
 
 
 # The asymptotic series below keep four Bernoulli terms, B_2 .. B_8. From

@@ -20,15 +20,15 @@ on the frontier. Counters: ``records_total`` is the number of inserts that
 were records (R_n), ``size`` the current antichain size (r_n).
 
 Users: ``run_stream`` and ``simulate_trajectory`` fold single streams; the
-record side of ``simulate.concomitant_records`` folds every sorted stream
-through :func:`make_frontier`; the batched maxima kernel
-``simulate._fold_streams`` feeds them only the points its prefilter cannot
-rule out on long streams. :func:`records_bruteforce` is the oracle for all.
+batched maxima kernel ``simulate._fold_streams`` feeds them only the points
+its prefilter cannot rule out on long streams. :func:`records_bruteforce`
+is the oracle for all.
 
 ``_dominates`` is the one vectorized weak-dominance test of the Monte Carlo
 code: the indicator estimator (``simulate.estimate_record_prob``), the
 all-pairs tiles (``simulate._tile_counts``), the prefilter's frontier test
-(``simulate._dominated``) and ``ordering.check_p2_bound`` all call it.
+(``simulate._dominated``), the concomitant record side
+(``simulate._count_records``) and ``ordering.check_p2_bound`` all call it.
 ``records_bruteforce`` keeps its own loop, so the oracle shares no code with
 what it checks.
 """

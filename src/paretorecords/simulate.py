@@ -42,8 +42,10 @@ folding each stream point by point through ``make_frontier(d)``. Short
 streams compare all pairs across the replicate axis at once; long ones test
 doubling segments against the prefix frontier and fold only the points that
 can still be records. The record side of ``concomitant_check``
-(:func:`concomitant_records`) stays on the univariate running maximum and
-the streaming frontiers, so the check compares two independent code paths.
+(:func:`concomitant_records`) is its own code: a running maximum at d = 2,
+and beyond one that tests blocks of time steps of all replicates at once
+against the maxima the steps before them left, so the check compares two
+independent code paths.
 """
 
 from __future__ import annotations
@@ -91,6 +93,12 @@ _TILE_BUDGET = 1 << 22
 _TILE_MAX_N_PLANAR = 192
 _TILE_MAX_N = 384
 _FIRST_SEGMENT = 16
+# Steps per block of the concomitant record side: the first block, then
+# twice the last up to the longest. Longer blocks make fewer numpy calls per
+# step but compare more pairs where most points are still candidates (early
+# in a stream, or on a large frontier); 256 was the best measured cap.
+_RECORD_FIRST_BLOCK = 16
+_RECORD_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -253,16 +261,6 @@ def _feed(frontier, rows: np.ndarray) -> bool:
     return rec
 
 
-def _stream_counts(block: np.ndarray) -> np.ndarray:
-    """(r_n, R_n, final) by folding every point through ``make_frontier(d)``."""
-    counts = []
-    for stream in block:
-        fr = make_frontier(block.shape[2])
-        final = _feed(fr, stream)
-        counts.append((fr.size, fr.records_total, final))
-    return np.array(counts, dtype=np.int64).T
-
-
 def _tile_counts(block: np.ndarray) -> np.ndarray:
     """(r_n, R_n, final) from all-pairs dominance tiles, any d.
 
@@ -396,14 +394,74 @@ def _count_univariate_records(block: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _count_records(c: np.ndarray) -> np.ndarray:
+    """Record count of each stream of ``c``, shape (k, m, n) with the coordinate first.
+
+    A point is a record when no earlier point of its stream weakly dominates
+    it, so of two equal points only the first can be one. Weak dominance is
+    transitive, so testing a point against the current maxima of its stream
+    (the records no later record dominates) decides it. The steps go in
+    blocks. A block is first tested against the maxima the blocks before it
+    left; a point one of them dominates is no record, and neither is a point
+    it dominates, so the rest (the candidates) are compared only with one
+    another, all pairs at once. Then the block's records join the maxima and
+    drop those they dominate. The maxima are kept at the front of each row
+    of an array padded with NaN, which dominates nothing and that nothing
+    dominates, so it is as wide as the largest frontier, never n. Replicates
+    go in groups sized so that no dominance mask exceeds ``_TILE_BUDGET``
+    booleans.
+    """
+    k, m, n = c.shape
+    longest = min(n, _RECORD_BLOCK)
+    earlier = np.triu(np.ones((longest, longest), dtype=bool), 1)  # [i, j]: i < j
+    counts = np.zeros(m, dtype=np.int64)
+    group = max(1, _TILE_BUDGET // (longest * n))
+    for g in range(0, m, group):
+        cg = c[:, g : g + group]
+        count = counts[g : g + group]
+        maxima = np.empty((k, cg.shape[1], 0))
+        t, width = 0, min(_RECORD_FIRST_BLOCK, longest)
+        while t < n:
+            pts = cg[:, :, t : t + width]
+            t, width = t + width, min(2 * width, _RECORD_BLOCK)
+            if maxima.shape[2]:
+                pts = _to_front(pts, ~_dominates(maxima[:, :, :, None], pts[:, :, None, :]).any(axis=1))
+            size = pts.shape[2]
+            dom = _dominates(pts[:, :, :, None], pts[:, :, None, :])  # [i, j]: i dominates j
+            rec = ~(dom & earlier[:size, :size]).any(axis=1) & ~np.isnan(pts[0])
+            count += rec.sum(axis=1)
+            if t >= n:
+                break
+            # A record leaves the maxima when a later record dominates it. A
+            # candidate that dominates an old maximum is a record or dominated
+            # by one; a later non-record of the block that dominates a record
+            # may be a copy of it, so only records count there.
+            beaten = _dominates(pts[:, :, :, None], maxima[:, :, None, :]).any(axis=1)
+            dom &= rec[:, :, None]
+            alive = np.concatenate([~np.isnan(maxima[0]) & ~beaten,
+                                    rec & ~(dom & earlier[:size, :size].T).any(axis=1)], axis=1)
+            maxima = _to_front(np.concatenate([maxima, pts], axis=2), alive)
+    return counts
+
+
+def _to_front(pts: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The points of (k, m, L) ``pts`` that (m, L) ``keep`` marks, in order at the front of each row, NaN after."""
+    reps, steps = np.nonzero(keep)
+    out = np.full((pts.shape[0], pts.shape[1], int(keep.sum(axis=1).max())), np.nan)
+    out[:, reps, (np.cumsum(keep, axis=1) - 1)[reps, steps]] = pts[:, reps, steps]
+    return out
+
+
 def concomitant_records(block: np.ndarray) -> np.ndarray:
     """Record counts of the first d-1 coordinates in concomitant order.
 
     ``block`` has shape (m, n, d). Each replicate's rows are sorted by the
     last coordinate, largest first, and the records of the remaining d-1
-    coordinates are counted in that order. For every realization this count
-    equals the number of maxima of the full d-dimensional point set: a point
-    is a maximum exactly when no point with a larger last coordinate weakly
+    coordinates are counted in that order: by a running maximum for d = 2,
+    beyond by testing blocks of steps of all replicates at once against the
+    maxima of the steps before them. For every realization this count equals the
+    number of maxima of the full d-dimensional point set: a point is a
+    maximum exactly when no point with a larger last coordinate weakly
     dominates it elsewhere.
     """
     m, n, d = block.shape
@@ -411,8 +469,7 @@ def concomitant_records(block: np.ndarray) -> np.ndarray:
     if d - 1 == 1:
         sorted_first = np.take_along_axis(block[:, :, 0], order, axis=1)
         return _count_univariate_records(sorted_first)
-    rest = np.take_along_axis(block[:, :, : d - 1], order[:, :, None], axis=1)
-    return _stream_counts(rest)[1]
+    return _count_records(np.take_along_axis(block.transpose(2, 0, 1)[: d - 1], order[None], axis=2))
 
 
 def concomitant_check(config: ExperimentConfig) -> ConcomitantResult:
@@ -424,8 +481,8 @@ def concomitant_check(config: ExperimentConfig) -> ConcomitantResult:
     The two samples are drawn independently from disjoint stream ranges and
     counted by different code: the maxima side by the batched dominance
     kernel ``_fold_streams``, the record side by :func:`concomitant_records`
-    (a running maximum for d = 2, the streaming frontiers of ``frontier``
-    beyond), so the test cross-validates both.
+    (a running maximum for d = 2, blocks of steps tested against the maxima
+    of the steps before them beyond), so the test cross-validates both.
     """
     n, reps, seed = config.n, config.reps, config.seed
     if config.spec.dim < 2:

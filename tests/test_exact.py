@@ -537,6 +537,25 @@ class TestLogBetaHelper:
                 self._check(exact_mod._log_beta_n(self.X, n), self.X, n)
 
 
+@pytest.mark.parametrize("d", [6, 13, 30, 60])
+def test_log_scales_within_their_charge(d):
+    # ln C(d-1, k) and -ln(s B(a, d)) against 50-digit mpmath, for dir
+    # (s = a + d - 1) and pa (s = a): each error within its charge.
+    eps = np.finfo(float).eps
+    a = np.geomspace(1e-3, 1e3, 25)
+    for s in (a + d - 1, a):
+        log_binom, binom_ulps, log_norm, norm_ulps = exact_mod._log_scales(d, a[:, None] + np.arange(d), s)
+        with mpmath.workdps(50):
+            for k in range(d):
+                ref = mpmath.log(mpmath.binomial(d - 1, k))
+                assert abs(log_binom[k] - ref) <= binom_ulps[k] * eps, (d, k)
+            for i, (av, sv) in enumerate(zip(a.tolist(), s.tolist())):
+                exact_s = mpmath.mpf(av) + (sv != av) * (d - 1)
+                ref = mpmath.fsum(mpmath.log(mpmath.mpf(av) + j) for j in range(d))
+                ref -= mpmath.loggamma(d) + mpmath.log(exact_s)
+                assert abs(log_norm[i, 0] - ref) <= norm_ulps[i, 0] * eps, (d, av)
+
+
 class TestSurvival:
     def test_examples(self):
         assert survival(MarginalDirichlet(2, 1.0), [0.25, 0.25]) == pytest.approx(0.25)

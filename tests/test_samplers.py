@@ -17,6 +17,7 @@ from paretorecords import (
     sample_observations,
     survival,
 )
+from paretorecords.model import _row_reduce
 from paretorecords.samplers import finite_draws
 
 
@@ -159,9 +160,23 @@ def _dirichlet_formula(rng, m, b):
     return g / g.sum(axis=1, keepdims=True)
 
 
+@pytest.mark.parametrize("lead", [(3001,), (3001, 1), ()], ids=["rows", "rows-1", "point"])
+@pytest.mark.parametrize("d", range(1, 13))
+def test_row_reduce_matches_numpy_reductions(d, lead):
+    # Column folds below 8 entries, numpy's own reduction from 8 on: the
+    # same bits as reducing the last axis either way.
+    x = make_rng(35, d).standard_exponential(size=lead + (d,))
+    for op, ref in ((np.add, x.sum(axis=-1)), (np.maximum, x.max(axis=-1))):
+        got = _row_reduce(op, x)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+        kept = _row_reduce(op, x, keepdims=True)
+        assert np.array_equal(kept, ref[..., None])
+
+
 class TestSamplerFormulas:
-    # The samplers work in place on the drawn arrays; the values must equal
-    # the formulas bit for bit. Rows of 9 terms pass numpy's 8-term unrolled
+    # The samplers work in place on the drawn arrays and the survival
+    # functions reduce rows column by column; the values must equal the
+    # formulas bit for bit. Rows of 9 terms pass numpy's 8-term unrolled
     # pairwise sum.
     M = 3001
 
@@ -181,6 +196,24 @@ class TestSamplerFormulas:
         b = (1e-3,) * d if tiny else tuple(0.3 + 0.5 * j for j in range(d))
         got = sample_observations(Dirichlet(b), self.M, make_rng(33, d))
         assert np.array_equal(got, _dirichlet_formula(make_rng(33, d), self.M, b))
+
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    @pytest.mark.parametrize("shape", [(M,), (M, 1)], ids=["rows", "rows-1"])
+    def test_survival(self, d, shape):
+        # Points inside and outside the simplex, some with negative
+        # coordinates, which survival clamps to 0 first.
+        x = make_rng(36, d).uniform(-0.2, 2.5 / d, size=shape + (d,))
+        pos = np.maximum(x, 0.0)
+        total = pos.sum(axis=-1)
+        for spec, want in (
+            (IidExponential(d), np.exp(-total)),
+            (MarginalDirichlet(d, 0.7), np.maximum(1.0 - total, 0.0) ** (d + 0.7 - 1.0)),
+            (ExponentialScaleMixture(d, 1.3), (1.0 + total) ** -1.3),
+            (Comonotone(d), np.exp(-pos.max(axis=-1))),
+        ):
+            got = survival(spec, x)
+            assert got.shape == want.shape and np.array_equal(got, want), type(spec).__name__
+            assert survival(spec, x[(0,) * len(shape)]) == want[(0,) * len(shape)]
 
     @pytest.mark.parametrize("d", [2, 4, 9])
     def test_mixture_fills_rows(self, d):

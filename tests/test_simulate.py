@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,16 +19,19 @@ from paretorecords import (
     estimate_maxima,
     estimate_record_prob,
     estimate_record_prob_survival,
+    make_frontier,
     make_rng,
     pn_independent,
     pn_marginal_dirichlet,
     pn_scale_mixture,
     records_bruteforce,
+    sample_observations,
     simulate_trajectory,
     sweep,
 )
 from paretorecords import exact as exact_mod
 from paretorecords import simulate
+from paretorecords.simulate import concomitant_records
 
 
 class TestIndicatorEstimator:
@@ -217,9 +221,6 @@ class TestConcomitant:
         # The concomitant bijection is exact per realization: counting
         # (d-1)-dim records in sorted-by-last-coordinate order must equal the
         # d-dimensional maxima count on the same draws, for any family.
-        from paretorecords.simulate import concomitant_records
-        from paretorecords import records_bruteforce, sample_observations
-
         for spec, seed in [
             (MarginalDirichlet(3, 2.0), 30),
             (ExponentialScaleMixture(2, 1.0), 31),
@@ -250,6 +251,63 @@ class TestConcomitant:
         for n, reps, workers in ((0, 100, 1), (5, 100, 0), (True, 100, 1), (5, 2.5, 1)):
             with pytest.raises(InvalidParameterError):
                 concomitant_check(ExperimentConfig(IidExponential(2), n=n, reps=reps, seed=0, workers=workers))
+
+
+def _frontier_record_counts(block):
+    """R_n of each stream in concomitant order, one point at a time through make_frontier(d - 1)."""
+    counts = []
+    for stream in block:
+        order = np.argsort(-stream[:, -1], kind="stable")
+        fr = make_frontier(block.shape[2] - 1)
+        for row in stream[order, :-1]:
+            fr.insert(row)
+        counts.append(fr.records_total)
+    return np.array(counts)
+
+
+class TestConcomitantRecords:
+    """The replicate-batched record side against a per-point frontier fold."""
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 90), (17, 1), (23, 7), (9, 61), (3, 300)])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("small", [False, True], ids=["default", "small-blocks"])
+    def test_matches_frontier_fold(self, d, m, n, small, monkeypatch):
+        if small:
+            # Blocks of 2, 4 and then 8 steps, and groups of three replicates.
+            monkeypatch.setattr(simulate, "_RECORD_FIRST_BLOCK", 2)
+            monkeypatch.setattr(simulate, "_RECORD_BLOCK", 8)
+            monkeypatch.setattr(simulate, "_TILE_BUDGET", 3 * min(n, 8) * n)
+        specs = [IidExponential(d), MarginalDirichlet(d, 1.5), ExponentialScaleMixture(d, 2.0),
+                 Dirichlet((1.0,) * d), Comonotone(d)]
+        for i, spec in enumerate(specs):
+            block = sample_observations(spec, m * n, make_rng(40 + i, d)).reshape(m, n, d)
+            # Rounding makes ties and duplicate rows; the first copy is the record.
+            for b in (block, np.round(block, 1), np.round(block * 3.0)):
+                assert np.array_equal(concomitant_records(b), _frontier_record_counts(b)), type(spec).__name__
+
+    def test_antichain_all_records(self, monkeypatch):
+        # A full Dirichlet sample is an antichain: every point is a record,
+        # and every block's records drop some of the maxima before them.
+        monkeypatch.setattr(simulate, "_RECORD_BLOCK", 8)
+        block = sample_observations(Dirichlet((1.0,) * 4), 2 * 500, make_rng(47)).reshape(2, 500, 4)
+        assert np.array_equal(concomitant_records(block), [500, 500])
+
+    def test_memory_follows_the_records_not_n(self):
+        # m = 4 streams of n = 20000 points, d - 1 = 3 coordinates: a store
+        # of all n steps would hold as many bytes as the sorted streams
+        # themselves; the maxima of ~200 records per stream take a few kB.
+        block = sample_observations(IidExponential(4), 4 * 20_000, make_rng(48)).reshape(4, 20_000, 4)
+        order = np.argsort(-block[:, :, 3], axis=1, kind="stable")
+        streams = np.take_along_axis(block.transpose(2, 0, 1)[:3], order[None], axis=2)
+        tracemalloc.start()
+        try:
+            counts = simulate._count_records(streams)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(counts, _frontier_record_counts(block))
+        assert counts.max() < 400
+        assert peak < streams.nbytes / 4
 
 
 class TestSweep:
