@@ -297,8 +297,8 @@ def _log_beta_n(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lg - log_rise, lg_ulps + log_rise
 
 
-def _log_scales(d: int, ak: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
-    """ln C(d-1, k) by k, and -ln(s B(a, d)) as a column, each with a bound on its error in ulps.
+def _log_scales(d: int, ak: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ln C(d-1, k) by k, -ln(s B(a, d)) as a column, and a bound in ulps on the error of their sum.
 
     ``ak`` holds a + k for k < d in its rows. Both logs are differences of
     larger ones, so each is charged the summed size of its pieces: ln (d-1)!
@@ -309,17 +309,18 @@ def _log_scales(d: int, ak: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]
     # ln k! for k < d, within an ulp while k! fits a float; beyond, lgamma
     # spares building ever larger integers.
     log_fact = [math.log(math.factorial(k)) if k < 171 else math.lgamma(k + 1.0) for k in range(d)]
-    fact_ulps = np.array([1.0 + v if k < 171 else lgamma_ulps(k + 1.0, v) for k, v in enumerate(log_fact)])
-    log_fact = np.array(log_fact)
+    fact_ulps = [1.0 + v if k < 171 else lgamma_ulps(k + 1.0, v) for k, v in enumerate(log_fact)]
     log_gamma_d = math.lgamma(d)
-    log_gamma_d_ulps = lgamma_ulps(d, log_gamma_d)
+    gamma_ulps = 2.0 * lgamma_ulps(d, log_gamma_d)  # once in each log
+    log_fact = np.array(log_fact)
     log_binom = log_gamma_d - log_fact - log_fact[::-1]
     # -ln(s B(a, d)) with B(a, d) = (d-1)! / prod_{i<d} (a+i)
     log_s = np.array([math.log(v) for v in s.tolist()])
     log_ak = np.log(ak)
     log_norm = (log_ak.sum(axis=1) - log_gamma_d - log_s)[:, None]
-    norm_ulps = (np.abs(log_ak).sum(axis=1) + log_gamma_d_ulps + np.abs(log_s))[:, None]
-    return log_binom, log_gamma_d_ulps + fact_ulps + fact_ulps[::-1], log_norm, norm_ulps
+    ulps = (np.abs(log_ak).sum(axis=1) + np.abs(log_s))[:, None] + [
+        gamma_ulps + u + v for u, v in zip(fact_ulps, reversed(fact_ulps))]
+    return log_binom, log_norm, ulps
 
 
 def _pn_beta_terms(n: int, d: int, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,13 +331,13 @@ def _pn_beta_terms(n: int, d: int, a: np.ndarray, s: np.ndarray) -> tuple[np.nda
     when its computed sum is not positive.
     """
     ak = a[:, None] + np.arange(d)
-    log_binom, binom_ulps, log_norm, norm_ulps = _log_scales(d, ak, s)
+    log_binom, log_norm, scale_ulps = _log_scales(d, ak, s)
     # At extreme a a term can overflow (then no bound holds) or underflow
     # to 0 with an infinite size (then it adds no error).
     with np.errstate(over="ignore", invalid="ignore"):
         log_beta, log_beta_size = _log_beta_n(ak / s[:, None], n)
         terms = np.exp(log_binom + log_norm + log_beta)
-        err = terms * (_TERM_ULPS + norm_ulps + binom_ulps + log_beta_size)
+        err = terms * (_TERM_ULPS + scale_ulps + log_beta_size)
         err_sum = err.sum(axis=1)
     totals, bounds = [], []
     for i, (row, row_err) in enumerate(zip(terms.tolist(), err_sum.tolist())):

@@ -30,6 +30,8 @@ from bench_rows import ROOT, export
 
 # Subcommands that take --workers.
 WORKER_COMMANDS = ("simulate", "sweep", "check")
+# What each tree returns per command, in this order.
+FIELDS = ("exit code", "stdout", "--out-file exit code", "--out-file bytes")
 
 RUNNER = """
 import json, sys, tempfile
@@ -94,9 +96,6 @@ def run_tree(tree: Path, commands: list[list[str]]) -> list[list]:
     if proc.returncode != 0:
         raise RuntimeError(f"commands on {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
     return json.loads(proc.stdout)
-
-
-FIELDS = ("exit code", "stdout", "--out-file exit code", "--out-file bytes")
 
 
 def differences(names: list[str], left: list[list], right: list[list]) -> list[str]:
