@@ -19,16 +19,15 @@ Duplicate points are non-records under weak dominance; the first copy stays
 on the frontier. Counters: ``records_total`` is the number of inserts that
 were records (R_n), ``size`` the current antichain size (r_n).
 
-Users: ``run_stream`` and ``simulate_trajectory`` fold single streams; the
-batched maxima kernel ``simulate._fold_streams`` feeds them only the points
-its prefilter cannot rule out on long streams. :func:`records_bruteforce`
-is the oracle for all.
+Users: ``run_stream`` and ``simulate_trajectory`` fold single streams, and
+the tests check the batched kernels of ``simulate`` against them.
+:func:`records_bruteforce` is the oracle for all.
 
 ``_dominates`` is the one vectorized weak-dominance test of the Monte Carlo
 code: the indicator estimator (``simulate.estimate_record_prob``), the
-all-pairs tiles (``simulate._tile_counts``), the prefilter's frontier test
-(``simulate._dominated``), the concomitant record side
-(``simulate._count_records``) and ``ordering.check_p2_bound`` all call it.
+all-pairs tiles (``simulate._tile_counts``), the block kernel of long
+streams and of the concomitant record side (``simulate._count_records``)
+and ``ordering.check_p2_bound`` all call it.
 ``records_bruteforce`` keeps its own loop, so the oracle shares no code with
 what it checks.
 """
@@ -140,18 +139,14 @@ class Frontier2D:
         xv = np.asarray(x, dtype=np.float64)
         if xv.shape != (2,):
             raise DimensionMismatchError(f"expected shape (2,), got {xv.shape}")
-        rec, broken = self._insert_xy(float(xv[0]), float(xv[1]))
-        return RecordOutcome(rec, broken)
-
-    def _insert_xy(self, x: float, y: float) -> tuple[bool, int]:
-        # Hot path used by the simulators; plain floats, tuple return.
+        x, y = float(xv[0]), float(xv[1])
         xs = self._xs
         ys = self._ys
         lo = bisect_left(xs, x)
         # Points at index >= lo have first coordinate >= x; their largest
         # second coordinate is ys[lo], so that single probe decides dominance.
         if lo < len(xs) and ys[lo] >= y:
-            return False, 0
+            return RecordOutcome(False, 0)
         hi = bisect_right(xs, x, lo)
         # Maxima dominated by (x, y) occupy a contiguous block [j, hi):
         # first coordinate <= x and second <= y, with ys descending.
@@ -170,7 +165,7 @@ class Frontier2D:
         xs.insert(j, x)
         ys.insert(j, y)
         self.records_total += 1
-        return True, broken
+        return RecordOutcome(True, broken)
 
 
 def _dominates(x: np.ndarray, y: np.ndarray) -> np.ndarray:

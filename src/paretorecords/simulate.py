@@ -36,16 +36,15 @@ Each of the four takes one validated :class:`~paretorecords.model.ExperimentConf
 Maxima fold
 -----------
 ``estimate_maxima`` and the maxima side of ``concomitant_check`` count r_n,
-R_n and the last-step record flag of a whole chunk of replicates with one
-batched dominance kernel, ``_fold_streams``, whose counts equal those of
-folding each stream point by point through ``make_frontier(d)``. Short
-streams compare all pairs across the replicate axis at once; long ones test
-doubling segments against the prefix frontier and fold only the points that
-can still be records. The record side of ``concomitant_check``
-(:func:`concomitant_records`) is its own code: a running maximum at d = 2,
-and beyond one that tests blocks of time steps of all replicates at once
-against the maxima the steps before them left, so the check compares two
-independent code paths.
+R_n and the last-step record flag of a whole chunk of replicates with
+``_fold_streams``, whose counts equal those of folding each stream point by
+point through ``make_frontier(d)``. Short streams compare all pairs across
+the replicate axis at once. Long ones go through the block kernel
+``_count_records``: blocks of time steps of all replicates at once, each
+tested against the maxima the steps before it left. The record side of
+``concomitant_check`` (:func:`concomitant_records`) is a running maximum at
+d = 2 and the same block kernel beyond, run on the (d-1)-dimensional
+streams in concomitant order.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ import numpy as np
 from ._special import chi2_sf
 from .errors import InvalidParameterError
 from .exact import pn_independent, pn_marginal_dirichlet, pn_scale_mixture, survival
-from .frontier import StreamResult, _dominates, make_frontier, run_stream
+from .frontier import StreamResult, _dominates, run_stream
 from .model import DistributionSpec, ExperimentConfig, _require_int, spec_from_json
 from .samplers import finite_draws, make_rng, sample_observations
 
@@ -84,19 +83,18 @@ _INDICATOR_BUDGET = 1 << 18
 _SURVIVAL_CHUNK = 1 << 16
 _MAXIMA_BUDGET = 1 << 20
 _PHASE_STRIDE = 1 << 32
-# Inside a maxima chunk: booleans per dominance tile, the longest streams
-# folded by all-pairs tiles (d = 2, other d), and the first prefilter segment.
-# The two lengths are the measured crossovers of the tiles' n^2 cost against
-# the prefilter, whose survivors fold through Frontier2D at d = 2 but through
-# the several times slower GenericFrontier beyond.
+# Booleans per dominance mask, and the longest streams that the all-pairs
+# tiles fold, per coordinate: 64 d points. Beyond, the block kernel
+# _count_records wins, since the tiles cost ~ d n^2 and the kernel grows
+# with the frontier, which grows with d. The measured crossovers (full
+# chunks, iid-exp, dir and pa) lie near n = 100 at d = 2, 160-192 at d = 3,
+# 256 at d = 4, 320 at d = 5 and 384 at d = 6.
 _TILE_BUDGET = 1 << 22
-_TILE_MAX_N_PLANAR = 192
-_TILE_MAX_N = 384
-_FIRST_SEGMENT = 16
-# Steps per block of the concomitant record side: the first block, then
-# twice the last up to the longest. Longer blocks make fewer numpy calls per
-# step but compare more pairs where most points are still candidates (early
-# in a stream, or on a large frontier); 256 was the best measured cap.
+_TILE_MAX_N_PER_D = 64
+# Steps per block of the block kernel: the first block, then twice the last
+# up to the longest. Longer blocks make fewer numpy calls per step but
+# compare more pairs where most points are still candidates (early in a
+# stream, or on a large frontier); 256 was the best measured cap.
 _RECORD_FIRST_BLOCK = 16
 _RECORD_BLOCK = 256
 
@@ -248,19 +246,6 @@ def estimate_record_prob_survival(config: ExperimentConfig, *, _stream_base: int
 # ---------------------------------------------------------------------------
 
 
-def _feed(frontier, rows: np.ndarray) -> bool:
-    """Insert ``rows`` (k, d) in order; return whether the last one was a record."""
-    rec = False
-    if frontier.d == 2:
-        ins = frontier._insert_xy
-        for x, y in rows.tolist():
-            rec, _ = ins(x, y)
-    else:
-        for row in rows:
-            rec = frontier.insert(row).is_record
-    return rec
-
-
 def _tile_counts(block: np.ndarray) -> np.ndarray:
     """(r_n, R_n, final) from all-pairs dominance tiles, any d.
 
@@ -290,67 +275,19 @@ def _tile_counts(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dominated(frontiers: list, seg: np.ndarray) -> np.ndarray:
-    """(m, L) mask of segment points weakly dominated by their replicate's frontier."""
-    m, L, _ = seg.shape
-    sizes = np.fromiter((fr.size for fr in frontiers), np.int64, m)
-    pts = np.concatenate([fr.maxima for fr in frontiers])
-    # Pad each frontier to the longest by repeating its last point.
-    width = int(sizes.max())
-    front = pts[(np.cumsum(sizes) - sizes)[:, None] + np.minimum(np.arange(width), sizes[:, None] - 1)]
-    out = np.empty((m, L), dtype=bool)
-    step = max(1, _TILE_BUDGET // (L * width))
-    for s in range(0, m, step):
-        f, q = front[s : s + step].transpose(2, 0, 1), seg[s : s + step].transpose(2, 0, 1)
-        out[s : s + step] = _dominates(f[:, :, None, :], q[:, :, :, None]).any(axis=2)
-    return out
-
-
-def _prefilter_counts(block: np.ndarray) -> np.ndarray:
-    """(r_n, R_n, final) by folding only the points that can be records.
-
-    Lemma: the records of any time-ordered subset of a stream that holds
-    every record are the stream's records, and that subset ends with the
-    stream's frontier, since a non-record is always dominated by an earlier
-    record. Segments of doubling length are tested, across replicates at
-    once, against the frontier the prefix left; a dominated point is no
-    record, and the rest go through the streaming structures in time order.
-    """
-    m, n, d = block.shape
-    frontiers = [make_frontier(d) for _ in range(m)]
-    stop = min(_FIRST_SEGMENT, n)
-    last = np.array([_feed(fr, rows) for fr, rows in zip(frontiers, block[:, :stop])], dtype=bool)
-    while stop < n:
-        start, stop = stop, min(2 * stop, n)
-        seg = block[:, start:stop]
-        keep = ~_dominated(frontiers, seg)
-        survivors = seg[keep]
-        ends = np.cumsum(keep.sum(axis=1))
-        last[:] = False
-        lo = 0
-        for i, hi in enumerate(ends.tolist()):
-            if hi > lo:
-                last[i] = _feed(frontiers[i], survivors[lo:hi])
-                lo = hi
-        last &= keep[:, -1]
-    out = np.empty((3, m), dtype=np.int64)
-    out[0] = [fr.size for fr in frontiers]
-    out[1] = [fr.records_total for fr in frontiers]
-    out[2] = last
-    return out
-
-
 def _fold_streams(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Final maxima count r_n, record count R_n and last-step record flag per replicate.
 
     ``block`` is (m, n, d), one stream per row, free of NaN as every
     family's sampler makes it. The counts equal those of folding each stream
-    through ``make_frontier(d)``: all-pairs tiles for short streams, a
-    frontier prefilter for long ones.
+    through ``make_frontier(d)``. Streams of up to ``_TILE_MAX_N_PER_D * d``
+    points go through all-pairs tiles, longer ones through the block kernel
+    ``_count_records`` on a transposed view of ``block``, so no full-size
+    copy is made.
     """
     _, n, d = block.shape
-    kernel = _tile_counts if n <= (_TILE_MAX_N_PLANAR if d == 2 else _TILE_MAX_N) else _prefilter_counts
-    r, big_r, final = kernel(block)
+    long = n > _TILE_MAX_N_PER_D * d
+    r, big_r, final = _count_records(block.transpose(2, 0, 1)) if long else _tile_counts(block)
     return r, big_r, final
 
 
@@ -395,53 +332,79 @@ def _count_univariate_records(block: np.ndarray) -> np.ndarray:
 
 
 def _count_records(c: np.ndarray) -> np.ndarray:
-    """Record count of each stream of ``c``, shape (k, m, n) with the coordinate first.
+    """(r_n, R_n, final) of each stream of ``c``, shape (k, m, n) with the coordinate first.
 
     A point is a record when no earlier point of its stream weakly dominates
     it, so of two equal points only the first can be one. Weak dominance is
     transitive, so testing a point against the current maxima of its stream
     (the records no later record dominates) decides it. The steps go in
-    blocks. A block is first tested against the maxima the blocks before it
-    left; a point one of them dominates is no record, and neither is a point
-    it dominates, so the rest (the candidates) are compared only with one
-    another, all pairs at once. Then the block's records join the maxima and
-    drop those they dominate. The maxima are kept at the front of each row
-    of an array padded with NaN, which dominates nothing and that nothing
-    dominates, so it is as wide as the largest frontier, never n. Replicates
-    go in groups sized so that no dominance mask exceeds ``_TILE_BUDGET``
-    booleans.
+    blocks, all replicates together. A block is first tested against the
+    maxima the blocks before it left; a point one of them dominates is no
+    record, and neither is a point it dominates, so the rest (the
+    candidates) are compared only with one another, all pairs at once. Then
+    the block's records join the maxima and drop those they dominate; after
+    the last block the maxima are r_n. The maxima and the candidates are
+    kept at the front of each row of arrays padded with NaN, which dominates
+    nothing and that nothing dominates, so they are as wide as the largest
+    frontier and block, never n. Each dominance test splits the replicate
+    axis only where its mask would exceed ``_TILE_BUDGET`` booleans.
     """
     k, m, n = c.shape
     longest = min(n, _RECORD_BLOCK)
     earlier = np.triu(np.ones((longest, longest), dtype=bool), 1)  # [i, j]: i < j
-    counts = np.zeros(m, dtype=np.int64)
-    group = max(1, _TILE_BUDGET // (longest * n))
-    for g in range(0, m, group):
-        cg = c[:, g : g + group]
-        count = counts[g : g + group]
-        maxima = np.empty((k, cg.shape[1], 0))
-        t, width = 0, min(_RECORD_FIRST_BLOCK, longest)
-        while t < n:
-            pts = cg[:, :, t : t + width]
-            t, width = t + width, min(2 * width, _RECORD_BLOCK)
-            if maxima.shape[2]:
-                pts = _to_front(pts, ~_dominates(maxima[:, :, :, None], pts[:, :, None, :]).any(axis=1))
-            size = pts.shape[2]
-            dom = _dominates(pts[:, :, :, None], pts[:, :, None, :])  # [i, j]: i dominates j
-            rec = ~(dom & earlier[:size, :size]).any(axis=1) & ~np.isnan(pts[0])
-            count += rec.sum(axis=1)
-            if t >= n:
-                break
-            # A record leaves the maxima when a later record dominates it. A
-            # candidate that dominates an old maximum is a record or dominated
-            # by one; a later non-record of the block that dominates a record
-            # may be a copy of it, so only records count there.
-            beaten = _dominates(pts[:, :, :, None], maxima[:, :, None, :]).any(axis=1)
-            dom &= rec[:, :, None]
-            alive = np.concatenate([~np.isnan(maxima[0]) & ~beaten,
-                                    rec & ~(dom & earlier[:size, :size].T).any(axis=1)], axis=1)
+    out = np.zeros((3, m), dtype=np.int64)
+    maxima = np.empty((k, m, 0))
+    t, width = 0, min(_RECORD_FIRST_BLOCK, longest)
+    while t < n:
+        pts = np.ascontiguousarray(c[:, :, t : t + width])  # one block: the tests run faster on it
+        t, width = t + width, min(2 * width, _RECORD_BLOCK)
+        cand = ~_any_dominates(maxima, pts)
+        if maxima.shape[2]:
+            pts = _to_front(pts, cand)
+        rec, kept = _block_records(pts, earlier)
+        out[1] += rec.sum(axis=1)
+        # A candidate that dominates an old maximum is a record or dominated
+        # by one, so the maximum leaves.
+        alive = np.concatenate([~np.isnan(maxima[0]) & ~_any_dominates(pts, maxima), kept], axis=1)
+        if t < n:
             maxima = _to_front(np.concatenate([maxima, pts], axis=2), alive)
-    return counts
+    out[0] = alive.sum(axis=1)
+    # The last step, where it is a candidate, is the last candidate of its row.
+    last = np.flatnonzero(cand[:, -1])
+    out[2, last] = rec[last, cand[last].sum(axis=1) - 1]
+    return out
+
+
+def _any_dominates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(m, Y) mask of the points of ``y`` that a point of ``x`` in the same row weakly dominates.
+
+    ``x`` is (k, m, X) and ``y`` (k, m, Y), the coordinate first.
+    """
+    m, width, size = y.shape[1], x.shape[2], y.shape[2]
+    out = np.empty((m, size), dtype=bool)
+    step = max(1, _TILE_BUDGET // max(1, width * size))
+    for s in range(0, m, step):
+        out[s : s + step] = _dominates(x[:, s : s + step, :, None], y[:, s : s + step, None, :]).any(axis=1)
+    return out
+
+
+def _block_records(pts: np.ndarray, earlier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, L) masks of the records among the candidates ``pts`` (k, m, L), and of those no later record dominates.
+
+    A later non-record that dominates a record may be a copy of it, so only
+    records count for the second mask.
+    """
+    _, m, size = pts.shape
+    before, after = earlier[:size, :size], earlier[:size, :size].T
+    rec, kept = np.empty((2, m, size), dtype=bool)
+    step = max(1, _TILE_BUDGET // max(1, size * size))
+    for s in range(0, m, step):
+        p = pts[:, s : s + step]
+        dom = _dominates(p[:, :, :, None], p[:, :, None, :])  # [i, j]: i dominates j
+        r = ~(dom & before).any(axis=1) & ~np.isnan(p[0])
+        dom &= r[:, :, None]
+        rec[s : s + step], kept[s : s + step] = r, r & ~(dom & after).any(axis=1)
+    return rec, kept
 
 
 def _to_front(pts: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -458,18 +421,17 @@ def concomitant_records(block: np.ndarray) -> np.ndarray:
     ``block`` has shape (m, n, d). Each replicate's rows are sorted by the
     last coordinate, largest first, and the records of the remaining d-1
     coordinates are counted in that order: by a running maximum for d = 2,
-    beyond by testing blocks of steps of all replicates at once against the
-    maxima of the steps before them. For every realization this count equals the
-    number of maxima of the full d-dimensional point set: a point is a
-    maximum exactly when no point with a larger last coordinate weakly
-    dominates it elsewhere.
+    beyond by the block kernel ``_count_records``. For every realization
+    this count equals the number of maxima of the full d-dimensional point
+    set: a point is a maximum exactly when no point with a larger last
+    coordinate weakly dominates it elsewhere.
     """
     m, n, d = block.shape
     order = np.argsort(-block[:, :, d - 1], axis=1, kind="stable")
     if d - 1 == 1:
         sorted_first = np.take_along_axis(block[:, :, 0], order, axis=1)
         return _count_univariate_records(sorted_first)
-    return _count_records(np.take_along_axis(block.transpose(2, 0, 1)[: d - 1], order[None], axis=2))
+    return _count_records(np.take_along_axis(block.transpose(2, 0, 1)[: d - 1], order[None], axis=2))[1]
 
 
 def concomitant_check(config: ExperimentConfig) -> ConcomitantResult:
@@ -479,10 +441,13 @@ def concomitant_check(config: ExperimentConfig) -> ConcomitantResult:
     into exactly the records of the first d-1 coordinates read in that
     order, so for any continuous law the two counts share one distribution.
     The two samples are drawn independently from disjoint stream ranges and
-    counted by different code: the maxima side by the batched dominance
-    kernel ``_fold_streams``, the record side by :func:`concomitant_records`
-    (a running maximum for d = 2, blocks of steps tested against the maxima
-    of the steps before them beyond), so the test cross-validates both.
+    count different things: d-dimensional maxima of time-ordered streams,
+    and records of (d-1)-dimensional streams in concomitant order. At d = 2
+    the code differs too: the maxima side is ``_fold_streams`` and the
+    record side a sort and a running maximum. At d >= 3 both sides run the
+    block kernel ``_count_records`` on streams longer than the tiles' reach,
+    on their different inputs; shorter streams keep the all-pairs tiles on
+    the maxima side, so there the check still compares two code paths.
     """
     n, reps, seed = config.n, config.reps, config.seed
     if config.spec.dim < 2:

@@ -273,7 +273,8 @@ class TestConcomitantRecords:
     @pytest.mark.parametrize("small", [False, True], ids=["default", "small-blocks"])
     def test_matches_frontier_fold(self, d, m, n, small, monkeypatch):
         if small:
-            # Blocks of 2, 4 and then 8 steps, and groups of three replicates.
+            # Blocks of 2, 4 and then 8 steps, and a budget that splits the
+            # replicates of the wider dominance tests into groups of three or more.
             monkeypatch.setattr(simulate, "_RECORD_FIRST_BLOCK", 2)
             monkeypatch.setattr(simulate, "_RECORD_BLOCK", 8)
             monkeypatch.setattr(simulate, "_TILE_BUDGET", 3 * min(n, 8) * n)
@@ -301,7 +302,7 @@ class TestConcomitantRecords:
         streams = np.take_along_axis(block.transpose(2, 0, 1)[:3], order[None], axis=2)
         tracemalloc.start()
         try:
-            counts = simulate._count_records(streams)
+            counts = simulate._count_records(streams)[1]  # R_n
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
